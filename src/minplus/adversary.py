@@ -104,7 +104,7 @@ class Oscillator(Adversary):
         return out
 
     def done(self, topo, fm, cfg):
-        return False
+        return not fm.byzantine
 
 
 class RandomWrites(Adversary):
@@ -130,7 +130,7 @@ class RandomWrites(Adversary):
         return out
 
     def done(self, topo, fm, cfg):
-        return False
+        return not fm.byzantine
 
 
 class Scripted(Adversary):
@@ -142,14 +142,23 @@ class Scripted(Adversary):
         for step_idx, proc, state in self.items:
             self._by_step.setdefault(step_idx, {})[proc] = state
         self._last = max(self._by_step) if self._by_step else 0
+        self._asked = 0  # the last step index writes() was asked about
 
     name = "scripted"
 
+    def reset(self, topo, fm):
+        """Reject a script that writes to a correct or unknown process."""
+        rogue = sorted({proc for _, proc, _ in self.items} - fm.byzantine)
+        if rogue:
+            raise ValueError(f"script writes to non-Byzantine processes {rogue}")
+        self._asked = 0
+
     def writes(self, topo, fm, configs, step_index):
+        self._asked = step_index
         return dict(self._by_step.get(step_index, {}))
 
     def done(self, topo, fm, cfg):
-        return True
+        return not self.pending_after(self._asked)
 
     def pending_after(self, step_index: int) -> bool:
         return step_index < self._last

@@ -4,16 +4,16 @@ Graphs are small, undirected and connected, with one distinguished root
 process.  Each process keeps its neighbors in a fixed order (the order in
 which its edges appear in the input).  That order drives the protocol's
 round-robin parent selection, so it is part of the topology rather than a
-presentation detail.  All pairwise hop distances are computed eagerly at
-construction and cached; instances are immutable and safe to share across
-parallel runs.
+presentation detail.  All pairwise hop distances, the diameter and the
+maximum degree are computed once at construction; instances are immutable
+and safe to share across parallel runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 
@@ -29,6 +29,9 @@ class Topology:
     neighbors: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
     distances: tuple[tuple[int, ...], ...]
+    # Derived from the fields above by from_edges.
+    _diameter: int = field(default=0, repr=False, compare=False)
+    _max_degree: int = field(default=0, repr=False, compare=False)
 
     @classmethod
     def from_edges(cls, n: int, root: int, edges) -> "Topology":
@@ -56,15 +59,14 @@ class Topology:
             edge_list.append((u, v))
             nbrs[u].append(v)
             nbrs[v].append(u)
-        dist = _all_pairs_bfs(n, nbrs)
-        for row in dist:
-            if any(d < 0 for d in row):
-                raise ValueError("graph is not connected")
+        dist, diam = _all_pairs_bfs(n, nbrs)
         return cls(
             root=root,
             neighbors=tuple(tuple(ns) for ns in nbrs),
             edges=tuple(edge_list),
             distances=tuple(tuple(row) for row in dist),
+            _diameter=diam,
+            _max_degree=max(len(ns) for ns in nbrs),
         )
 
     @property
@@ -77,11 +79,11 @@ class Topology:
 
     @property
     def max_degree(self) -> int:
-        return max(len(ns) for ns in self.neighbors)
+        return self._max_degree
 
     @property
     def diameter(self) -> int:
-        return max(max(row) for row in self.distances)
+        return self._diameter
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[self._check(v)])
@@ -98,8 +100,15 @@ class Topology:
         return v
 
 
-def _all_pairs_bfs(n: int, nbrs: list[list[int]]) -> list[list[int]]:
+def _all_pairs_bfs(n: int, nbrs: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Hop distances from every source, and the diameter.
+
+    The last vertex a BFS dequeues is a farthest one, so its distance is the
+    source's eccentricity.  A graph is connected iff the first BFS reaches
+    every vertex.
+    """
     dist = [[-1] * n for _ in range(n)]
+    diam = 0
     for src in range(n):
         row = dist[src]
         row[src] = 0
@@ -110,7 +119,11 @@ def _all_pairs_bfs(n: int, nbrs: list[list[int]]) -> list[list[int]]:
                 if row[w] < 0:
                     row[w] = row[u] + 1
                     queue.append(w)
-    return dist
+        if src == 0 and -1 in row:
+            raise ValueError("graph is not connected")
+        if row[u] > diam:
+            diam = row[u]
+    return dist, diam
 
 
 @dataclass(frozen=True)

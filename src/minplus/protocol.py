@@ -47,8 +47,15 @@ def is_enabled(topo: Topology, cfg: Config, v: int) -> bool:
     nbrs = topo.neighbors[v]
     if prnt is None or prnt not in nbrs:
         return True
-    lo = min(cfg[q].level for q in nbrs)
-    return level != cfg[prnt].level + 1 or cfg[prnt].level != lo
+    # Enabled unless level is the parent's plus one and no neighbor is lower
+    # than the parent.
+    parent_level = cfg[prnt].level
+    if level != parent_level + 1:
+        return True
+    for q in nbrs:
+        if cfg[q].level < parent_level:
+            return True
+    return False
 
 
 def choose(topo: Topology, v: int, current_prnt: int | None, candidates) -> int:
@@ -86,13 +93,23 @@ def apply_rule(topo: Topology, cfg: Config, v: int) -> ProcState:
 
 def _action(topo: Topology, cfg: Config, v: int) -> ProcState:
     # Guard already known to hold; used directly by the scheduler hot loop.
+    # One pass over the neighbor order gives what ``choose`` would pick from
+    # the minimum-level neighbors: ``first`` is the order-smallest of them,
+    # ``after`` the first one strictly after the current parent.
     if v == topo.root:
         return ProcState(None, 0)
-    nbrs = topo.neighbors[v]
-    lo = min(cfg[q].level for q in nbrs)
-    candidates = [q for q in nbrs if cfg[q].level == lo]
-    prnt = choose(topo, v, cfg[v].prnt, candidates)
-    return ProcState(prnt, lo + 1)
+    cur = cfg[v].prnt
+    lo = first = after = None
+    past = False
+    for q in topo.neighbors[v]:
+        level = cfg[q].level
+        if lo is None or level < lo:
+            lo, first, after = level, q, (q if past else None)
+        elif level == lo and past and after is None:
+            after = q
+        if q == cur:
+            past = True
+    return ProcState(first if after is None else after, lo + 1)
 
 
 def step(

@@ -76,16 +76,25 @@ class DaemonPolicy:
 class StopCriterion:
     """When a run ends.
 
-    ``max_steps`` always caps the run.  With ``quiescent`` the run also ends
-    once no correct process is enabled and the adversary reports it is done.
-    With a ``predicate`` the run ends ``extra_after`` steps after the first
-    configuration satisfying it.
+    ``max_steps`` always caps the run.  A run also ends once no correct
+    process is enabled, the adversary writes nothing and reports it is done,
+    since nothing can happen after that; ``quiescent`` asks for that stop
+    explicitly and is always in force.  While the adversary is not done, a
+    step with nothing enabled and nothing written is recorded as an idle
+    step.  With a ``predicate`` the run ends ``extra_after`` steps after the
+    first configuration satisfying it.
     """
 
     max_steps: int
     quiescent: bool = False
     predicate: Callable[[Config], bool] | None = None
     extra_after: int = 0
+
+    def __post_init__(self):
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be nonnegative, got {self.max_steps}")
+        if self.extra_after < 0:
+            raise ValueError(f"extra_after must be nonnegative, got {self.extra_after}")
 
 
 def step_budget(topo: Topology) -> int:
@@ -179,12 +188,22 @@ def _drive(
     seed: int,
 ) -> None:
     topo, fm = ex.topo, ex.fm
-    n = topo.process_count
+    byzantine = fm.byzantine
+    neighbors = topo.neighbors
     rng = random.Random(seed)
-    window = n
-    correct = [v for v in topo.processes() if fm.is_correct(v)]
-    enabled = {v for v in correct if is_enabled(topo, ex.configs[-1], v)}
-    ages = {v: 0 for v in correct}
+    window = topo.process_count
+    # Fairness slots are the steps in which a correct process could act.
+    # ``since`` holds exactly the enabled correct processes, each with the
+    # slot count at which it last became enabled or acted, so its age (slots
+    # enabled without acting) is ``slots - since[v]`` and a step updates only
+    # the processes it touches.
+    slots = 0
+    cfg = ex.configs[-1]
+    since = {
+        v: 0
+        for v in topo.processes()
+        if v not in byzantine and is_enabled(topo, cfg, v)
+    }
     last_slot_byz = True  # first central slot goes to a correct process
     steps_done = 0
     pred_hit: int | None = None
@@ -198,26 +217,22 @@ def _drive(
             if pred_hit is not None and steps_done - pred_hit >= stop.extra_after:
                 break
         writes = advise(adversary, topo, fm, ex.configs, len(ex.configs))
-        if (
-            stop.quiescent
-            and not enabled
-            and not writes
-            and adversary.done(topo, fm, cfg)
-        ):
-            break
-        if not enabled and not writes:
+        idle = not since and not writes
+        if idle and adversary.done(topo, fm, cfg):
             break  # nothing can ever happen again
 
         activated: list[int] = []
-        applied: dict[int, ProcState] = {}
-        slot_counts = True  # whether this step ages the fairness window
+        applied: dict[int, ProcState] = writes
+        slot_counts = True  # whether this step is a fairness slot
+        # A process of age window - 1 or more is starved: it must act now.
+        starved_since = slots - window + 1
 
         if daemon.fairness == SCRIPT:
             if script_pos >= len(daemon.script):
                 break
             wanted = daemon.script[script_pos]
             script_pos += 1
-            bad = wanted - enabled
+            bad = wanted - since.keys()
             if bad:
                 raise ContractViolation(
                     f"script activates disabled or Byzantine processes {sorted(bad)}"
@@ -225,37 +240,37 @@ def _drive(
             if daemon.kind == CENTRAL and len(wanted) + (1 if writes else 0) > 1:
                 raise ContractViolation("central daemon: one process per step")
             activated = sorted(wanted)
-            applied = dict(writes)
+        elif idle:
+            pass  # the adversary is not done but writes nothing this step
         elif daemon.kind == SYNCHRONOUS:
-            activated = sorted(enabled)
-            applied = dict(writes)
+            activated = sorted(since)
         elif daemon.kind == DISTRIBUTED:
-            applied = dict(writes)
-            if enabled:
-                pool = sorted(enabled)
+            if since:
+                pool = sorted(since)
                 if daemon.fairness == ROUND_ROBIN:
                     activated = pool
                 else:
                     picked = {v for v in pool if rng.random() < 0.5}
-                    picked.update(v for v in pool if ages[v] >= window - 1)
+                    picked.update(v for v in pool if since[v] <= starved_since)
                     if not picked:
                         picked = {rng.choice(pool)}
                     activated = sorted(picked)
         else:  # CENTRAL
-            starved = [v for v in sorted(enabled) if ages[v] >= window - 1]
-            byz_slot = bool(writes) and not starved and (last_slot_byz is False or not enabled)
-            if byz_slot:
+            starved = [v for v, t in since.items() if t <= starved_since]
+            if writes and not starved and (not last_slot_byz or not since):
                 b = min(writes)
                 applied = {b: writes[b]}
                 slot_counts = False
                 last_slot_byz = True
             else:
-                pool = starved or sorted(enabled)
+                applied = {}
                 if daemon.fairness == ROUND_ROBIN:
-                    oldest = max(ages[v] for v in pool)
-                    activated = [min(v for v in pool if ages[v] == oldest)]
+                    # The oldest enabled process, the smallest id among ties.
+                    activated = [min(since, key=lambda v: (since[v], v))]
+                elif starved:
+                    activated = [min(starved)]
                 else:
-                    activated = [starved[0]] if starved else [rng.choice(pool)]
+                    activated = [rng.choice(sorted(since))]
                 last_slot_byz = False
 
         new_states = list(cfg)
@@ -277,30 +292,27 @@ def _drive(
         steps_done += 1
 
         if slot_counts:
-            acts = set(activated)
-            for v in correct:
-                if v in acts:
-                    ages[v] = 0
-                elif v in enabled:
-                    ages[v] += 1
-        touched = set(activated) | set(applied)
-        affected = set(touched)
-        for v in touched:
-            affected.update(topo.neighbors[v])
+            slots += 1
+        for v in activated:
+            del since[v]  # re-stamped below if still enabled
+        affected = set(activated)
+        affected.update(applied)
+        for v in list(affected):
+            affected.update(neighbors[v])
         for v in affected:
-            if not fm.is_correct(v):
+            if v in byzantine:
                 continue
             if is_enabled(topo, new_cfg, v):
-                enabled.add(v)
+                if v not in since:
+                    since[v] = slots
             else:
-                enabled.discard(v)
-                ages[v] = 0
+                since.pop(v, None)
         if daemon.fairness == SCRIPT:
-            for v in correct:
-                if ages[v] >= window:
-                    raise FairnessViolation(
-                        v, (steps_done - window + 1, steps_done)
-                    )
+            late = [v for v, t in since.items() if slots - t >= window]
+            if late:
+                raise FairnessViolation(
+                    min(late), (steps_done - window + 1, steps_done)
+                )
 
 
 def quiescent(topo: Topology, fm: FaultModel, cfg: Config) -> bool:
@@ -326,10 +338,17 @@ def slice_execution(ex: Execution, from_index: int) -> Execution:
 def verify_replay(ex: Execution) -> int | None:
     """Re-apply every stored step; return the first divergent step index.
 
-    Returns None when the whole trace is reproduced exactly.
+    A step that cannot be applied (it activates a disabled or Byzantine
+    process, or writes to a correct one) diverges too.  Returns None when
+    the whole trace is reproduced exactly.
     """
     for i, rec in enumerate(ex.steps):
-        expected = step(ex.topo, ex.fm, ex.configs[i], rec.activated, dict(rec.byz_writes))
+        try:
+            expected = step(
+                ex.topo, ex.fm, ex.configs[i], rec.activated, dict(rec.byz_writes)
+            )
+        except ContractViolation:
+            return i + 1
         if expected != ex.configs[i + 1]:
             return i + 1
     return None
@@ -337,10 +356,7 @@ def verify_replay(ex: Execution) -> int | None:
 
 def replay(ex: Execution) -> bool:
     """True iff every stored transition is reproduced by applying the rules."""
-    try:
-        return verify_replay(ex) is None
-    except ContractViolation:
-        return False
+    return verify_replay(ex) is None
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +422,19 @@ def write_trace(ex: Execution, path) -> None:
 
 
 def parse_trace(text: str) -> Execution:
+    """Load a trace; any malformed or truncated input raises ValueError."""
     lines = text.splitlines()
     if not lines or lines[0] != _TRACE_MAGIC:
         raise ValueError("not a minplus trace file")
+    if len(lines) < 2:
+        raise ValueError("truncated trace: no header line")
+    try:
+        return _parse_trace_lines(lines)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed trace: {exc!r}") from exc
+
+
+def _parse_trace_lines(lines: list[str]) -> Execution:
     meta = json.loads(lines[1])
     sections: dict[str, list[str]] = {"topology": [], "init": []}
     idx = 2
@@ -447,10 +473,12 @@ def parse_trace(text: str) -> Execution:
         configs=[init],
         meta_extra=meta.get("config", {}),
     )
+    ended = False
     for line in lines[idx:]:
         if line.startswith("end "):
             if int(line.split()[1]) != len(ex.steps):
                 raise ValueError("trace step count mismatch")
+            ended = True
             continue
         if not line.startswith("step "):
             raise ValueError(f"malformed trace line: {line!r}")
@@ -466,6 +494,8 @@ def parse_trace(text: str) -> Execution:
             new_states[v] = state
         ex.steps.append(StepRecord(activated=activated, byz_writes=byz))
         ex.configs.append(tuple(new_states))
+    if not ended:
+        raise ValueError("truncated trace: no end line")
     return ex
 
 

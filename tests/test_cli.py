@@ -252,6 +252,52 @@ class TestReplayCommand:
         assert "mismatch at step" in capsys.readouterr().out
 
 
+class TestExitCodes:
+    """0 means ok, 1 means a check failed, 2 means the input was malformed."""
+
+    def test_header_only_trace(self, tmp_path, capsys):
+        trace = tmp_path / "short.trace"
+        trace.write_text("minplus-trace 1\n", encoding="utf-8")
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_script_writing_to_a_correct_process(self, tmp_path, capsys):
+        script = tmp_path / "rogue.script"
+        script.write_text("1 1 -1 0\n", encoding="utf-8")
+        code = main(
+            [
+                "run",
+                "--scenario",
+                "path n=4 byz=3",
+                "--adversary",
+                f"scripted:{script}",
+                "--max-steps",
+                "10",
+            ]
+        )
+        assert code == 2
+        assert "non-Byzantine" in capsys.readouterr().err
+
+    def test_trace_activating_a_disabled_process_is_a_failed_check(
+        self, tmp_path, capsys
+    ):
+        trace = tmp_path / "r.trace"
+        main(["run", "--scenario", "path n=5", "--quiescent", "--trace", str(trace)])
+        lines = trace.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("step "))
+        # The root is settled in the corrupted start, so it is not enabled.
+        head, tail = lines[idx].split(" act=", 1)
+        lines[idx] = f"{head} act=0,{tail}"
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["replay", "--trace", str(trace)]) == 1
+        assert "mismatch at step 1" in capsys.readouterr().out
+
+    def test_negative_step_budget(self, capsys):
+        code = main(["run", "--scenario", "path n=4", "--max-steps", "-5"])
+        assert code == 2
+        assert "max_steps" in capsys.readouterr().err
+
+
 class TestExhaustiveCommand:
     def test_single_node_world_trivially_passes(self, capsys):
         assert main(["exhaustive", "--n-max", "1", "--f-max", "1"]) == 0

@@ -16,7 +16,7 @@ from minplus import (
     parse_config,
     step,
 )
-from minplus.protocol import config_text
+from minplus.protocol import _action, config_text
 
 BOT = None
 
@@ -171,6 +171,45 @@ class TestApplyRule:
         cfg = cfg_from([(BOT, 0), (2, 9), (3, 1), (2, 0)])
         mutated = cfg[:3] + (ProcState(BOT, 77),)  # 3 is no neighbor of 1
         assert apply_rule(topo, cfg, 1) == apply_rule(topo, mutated, 1)
+
+
+class TestFastAction:
+    """``_action`` picks its parent in one pass and ``is_enabled`` stops at
+    the first lower neighbor; ``choose`` and the guard's definition are the
+    references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference_rule(self, data):
+        # Process 0 has `degree` neighbors in a drawn order, plus processes
+        # that are no neighbors of it, so a stale parent can name one.
+        degree = data.draw(st.integers(1, 6))
+        extra = data.draw(st.integers(0, 2))
+        n = degree + extra + 1
+        spokes = data.draw(st.permutations([(0, q) for q in range(1, degree + 1)]))
+        tail = [(degree, q) for q in range(degree + 1, n)]
+        topo = Topology.from_edges(n, n - 1, spokes + tail)
+        levels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        prnt = data.draw(st.sampled_from([BOT, *range(n), n + 4]))
+        cfg = tuple(ProcState(BOT, level) for level in levels)
+        cfg = (ProcState(prnt, levels[0]),) + cfg[1:]
+        order = topo.neighbors[0]
+        lo = min(cfg[q].level for q in order)
+        expected = ProcState(
+            choose(topo, 0, prnt, {q for q in order if cfg[q].level == lo}), lo + 1
+        )
+        assert _action(topo, cfg, 0) == expected
+        guard = (
+            prnt not in order
+            or cfg[0].level != cfg[prnt].level + 1
+            or cfg[prnt].level != lo
+        )
+        assert is_enabled(topo, cfg, 0) == guard
+
+    def test_root_resets(self):
+        topo = star_topo()
+        cfg = cfg_from([(BOT, 4), (0, 3), (0, 1), (0, 1)])
+        assert _action(topo, cfg, 1) == ProcState(BOT, 0)
 
 
 class TestStep:

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minplus import (
     CENTRAL,
@@ -8,12 +12,16 @@ from minplus import (
     ContractViolation,
     DaemonPolicy,
     FairnessViolation,
+    FakeRoot,
+    MirrorRoot,
     Oscillator,
     ProcState,
     RandomWrites,
+    Scripted,
     Silent,
     StopCriterion,
     Topology,
+    WellBehaved,
     enabled_set,
     make_fault_model,
     quiescent,
@@ -35,6 +43,11 @@ ALL_FAIR = [
     DaemonPolicy(DISTRIBUTED, ROUND_ROBIN),
     DaemonPolicy(DISTRIBUTED, RANDOM),
     DaemonPolicy(SYNCHRONOUS, ROUND_ROBIN),
+]
+ALL_DAEMONS = [
+    DaemonPolicy(kind, fairness)
+    for kind in (CENTRAL, DISTRIBUTED, SYNCHRONOUS)
+    for fairness in (ROUND_ROBIN, RANDOM)
 ]
 
 
@@ -152,6 +165,74 @@ class TestRun:
             StopCriterion(max_steps=100, predicate=settled, extra_after=0),
         )
         assert ex.step_count < 100 and hits
+
+
+class TestIdleSteps:
+    """A quiet step is recorded, not taken as the end, while the adversary
+    still has something to do."""
+
+    @pytest.mark.parametrize("period", [1, 2, 5, 50])
+    def test_oscillator_runs_its_whole_budget(self, period):
+        topo, fm = path_case(4, byz=[3])
+        ex = run(
+            topo,
+            fm,
+            corrupted(topo, fm),
+            DaemonPolicy(SYNCHRONOUS, ROUND_ROBIN),
+            Oscillator(period),
+            StopCriterion(max_steps=1000),
+        )
+        assert ex.step_count == 1000
+        assert verify_replay(ex) is None
+
+    @pytest.mark.parametrize("daemon", ALL_DAEMONS, ids=lambda d: f"{d.kind}-{d.fairness}")
+    def test_every_daemon_takes_idle_steps(self, daemon):
+        topo, fm = path_case(4, byz=[3])
+        ex = run(
+            topo,
+            fm,
+            corrupted(topo, fm),
+            daemon,
+            Oscillator(50),
+            StopCriterion(max_steps=200),
+            seed=2,
+        )
+        assert ex.step_count == 200
+        idle = [r for r in ex.steps if not r.activated and not r.byz_writes]
+        assert idle
+        assert verify_replay(ex) is None
+
+    def test_script_write_after_a_quiet_stretch_is_made(self):
+        topo, fm = path_case(4, byz=[3])
+        late = ProcState(None, 0)
+        script = Scripted([(1, 3, ProcState(2, 9)), (20, 3, late)])
+        ex = run(
+            topo,
+            fm,
+            corrupted(topo, fm),
+            DaemonPolicy(SYNCHRONOUS, ROUND_ROBIN),
+            script,
+            StopCriterion(max_steps=100),
+        )
+        assert ex.steps[19].byz_writes == ((3, late),)
+        # Once the script is spent and nothing is enabled, the run ends.
+        assert 20 <= ex.step_count < 100
+        assert quiescent(topo, fm, ex.final())
+
+    def test_adversary_without_byzantine_processes_is_done(self):
+        topo, fm = path_case(4)
+        settled = tuple(
+            ProcState(None, 0) if v == 0 else ProcState(v - 1, v) for v in range(4)
+        )
+        for adversary in (Oscillator(2), RandomWrites(1)):
+            ex = run(
+                topo, fm, settled, DaemonPolicy(), adversary, StopCriterion(max_steps=50)
+            )
+            assert ex.step_count == 0
+
+    def test_negative_step_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            StopCriterion(max_steps=-5)
 
 
 class TestDaemonShapes:
@@ -315,9 +396,139 @@ class TestReplayAndTraces:
         with pytest.raises(ValueError):
             parse_trace("not a trace\n")
 
+    @pytest.mark.parametrize("keep", [1, 2, 5, -1])
+    def test_truncated_trace_is_a_value_error(self, keep):
+        lines = trace_text(self.make_run()).splitlines()
+        with pytest.raises(ValueError):
+            parse_trace("\n".join(lines[:keep]) + "\n")
+
+    @pytest.mark.parametrize("header", ["[]", "{}", '{"daemon": 3}'])
+    def test_malformed_header_is_a_value_error(self, header):
+        lines = trace_text(self.make_run()).splitlines()
+        lines[1] = header
+        with pytest.raises(ValueError, match="malformed trace"):
+            parse_trace("\n".join(lines) + "\n")
+
 
 def test_step_budget_scales_with_size():
     topo, _ = path_case(5)
     assert step_budget(topo) == 50 * 5 * 4
     single = Topology.from_edges(1, 0, [])
     assert step_budget(single) == 50
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the engine's incremental bookkeeping (enabled set and
+# fairness stamps) against the reference step and a from-scratch enabled set.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def engine_cases(draw):
+    n = draw(st.integers(1, 12))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    chords = draw(
+        st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] < e[1]
+            ),
+            max_size=n,
+        )
+    )
+    edges += sorted(chords - {(min(e), max(e)) for e in edges})
+    edges = draw(st.permutations(edges))
+    root = draw(st.integers(0, n - 1))
+    topo = Topology.from_edges(n, root, edges)
+    others = [v for v in range(n) if v != root]
+    byz = draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+    fm = make_fault_model(topo, byz)
+    init = tuple(
+        ProcState(
+            draw(st.one_of(st.none(), st.integers(0, n - 1))),
+            draw(st.integers(0, 2 * n)),
+        )
+        for _ in range(n)
+    )
+    max_steps = draw(st.integers(0, 60))
+    script = [
+        (draw(st.integers(1, max(max_steps, 1))), b, ProcState(None, draw(st.integers(0, 9))))
+        for b in byz
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    adversary = draw(
+        st.sampled_from(
+            [
+                Silent(),
+                FakeRoot(),
+                MirrorRoot(),
+                Oscillator(draw(st.integers(1, 6))),
+                RandomWrites(draw(st.integers(0, 99))),
+                WellBehaved(),
+                Scripted(script),
+            ]
+        )
+    )
+    daemon = draw(st.sampled_from(ALL_DAEMONS))
+    return topo, fm, init, daemon, adversary, max_steps, draw(st.integers(0, 999))
+
+
+def fairness_ages(ex):
+    """For each step, the fairness age of every correct process before it,
+    recomputed from the trace: the slots it has spent enabled without
+    acting.  Every step is a slot, except a central step that only writes."""
+    topo, fm = ex.topo, ex.fm
+    age = {v: 0 for v in topo.processes() if fm.is_correct(v)}
+    central = ex.daemon.kind == CENTRAL
+    enabled = enabled_set(topo, fm, ex.configs[0])
+    for i, rec in enumerate(ex.steps):
+        yield dict(age), enabled
+        after = enabled_set(topo, fm, ex.configs[i + 1])
+        slot = not central or rec.activated or not rec.byz_writes
+        for v in age:
+            if v in rec.activated or v not in after:
+                age[v] = 0
+            elif v in enabled and slot:
+                age[v] += 1
+        enabled = after
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_cases())
+def test_engine_agrees_with_the_reference_step(case):
+    topo, fm, init, daemon, adversary, max_steps, seed = case
+    ex = run(topo, fm, init, daemon, adversary, StopCriterion(max_steps=max_steps), seed=seed)
+    assert verify_replay(ex) is None
+    # The daemon's choice, redone from the recomputed ages with the same
+    # random stream: coins and forced processes for the distributed daemon,
+    # the oldest or a random process for the central one.
+    rng = random.Random(seed)
+    window = topo.process_count
+    last_slot_byz = True
+    for rec, (age, enabled) in zip(ex.steps, fairness_ages(ex)):
+        assert rec.activated <= enabled
+        pool = sorted(enabled)
+        starved = [v for v in pool if age[v] >= window - 1]
+        if daemon.kind == SYNCHRONOUS or (
+            daemon.kind == DISTRIBUTED and daemon.fairness == ROUND_ROBIN
+        ):
+            assert rec.activated == enabled
+        elif daemon.kind == DISTRIBUTED and pool:
+            picked = {v for v in pool if rng.random() < 0.5} | set(starved)
+            assert rec.activated == (picked or {rng.choice(pool)})
+        elif daemon.kind == CENTRAL and rec.activated:
+            assert not rec.byz_writes
+            if daemon.fairness == ROUND_ROBIN:
+                oldest = max(age[v] for v in pool)
+                assert rec.activated == {min(v for v in pool if age[v] == oldest)}
+            else:
+                assert rec.activated == {starved[0] if starved else rng.choice(pool)}
+            last_slot_byz = False
+        elif daemon.kind == CENTRAL and rec.byz_writes:
+            assert len(rec.byz_writes) == 1 and not starved
+            assert not last_slot_byz or not pool
+            last_slot_byz = True
+        else:
+            assert not rec.activated
+    if ex.step_count < max_steps:
+        assert quiescent(topo, fm, ex.final())
+        assert adversary.done(topo, fm, ex.final())
