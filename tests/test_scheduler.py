@@ -230,10 +230,6 @@ class TestIdleSteps:
             )
             assert ex.step_count == 0
 
-    def test_negative_step_budget_is_rejected(self):
-        with pytest.raises(ValueError, match="max_steps"):
-            StopCriterion(max_steps=-5)
-
 
 class TestDaemonShapes:
     def test_central_moves_one_process_per_step(self):
@@ -408,6 +404,11 @@ class TestReplayAndTraces:
         lines[1] = header
         with pytest.raises(ValueError, match="malformed trace"):
             parse_trace("\n".join(lines) + "\n")
+
+
+def test_negative_step_budget_is_rejected():
+    with pytest.raises(ValueError, match="max_steps"):
+        StopCriterion(max_steps=-5)
 
 
 def test_step_budget_scales_with_size():
