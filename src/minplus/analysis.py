@@ -64,16 +64,35 @@ def spec_holds(topo: Topology, fm: FaultModel, cfg: Config, v: int) -> bool:
         cur = prnt
 
 
+def _floor_heights(topo: Topology, fm: FaultModel, configs) -> list[int]:
+    # Process v fails the floor at exactly the depths above level_v when
+    # level_v < anchor_v, and at none otherwise; a configuration's height is
+    # the lowest such level, capped at the diameter.  Scanning one process
+    # across all configurations skips, in one min(), every process that
+    # never drops below its anchor distance.
+    heights = [topo.diameter] * len(configs)
+    for v in topo.processes():
+        anchor = anchor_distance(topo, fm, v)
+        levels = [cfg[v].level for cfg in configs]
+        if min(levels, default=anchor) < anchor:
+            heights = [
+                level if level < anchor and level < h else h
+                for level, h in zip(levels, heights)
+            ]
+    return heights
+
+
 def level_floor_holds(topo: Topology, fm: FaultModel, cfg: Config, d: int) -> bool:
     """Every level is at least min(d, distance to the nearest of root and
     Byzantine set).  Closed under protocol steps for every d up to the
-    diameter, whatever the Byzantine processes write."""
+    diameter, whatever the Byzantine processes write.
+
+    The floor only gets harder as d grows, so it holds exactly for d up to
+    the configuration's height: the diameter, or the lowest level that lies
+    below its own process's anchor distance if that is smaller."""
     if not 0 <= d <= topo.diameter:
         raise ValueError(f"d={d} outside 0..{topo.diameter}")
-    for v in topo.processes():
-        if cfg[v].level < min(d, anchor_distance(topo, fm, v)):
-            return False
-    return True
+    return d <= _floor_heights(topo, fm, [cfg])[0]
 
 
 def _check_area(topo: Topology, fm: FaultModel, area) -> frozenset[int]:
@@ -355,17 +374,25 @@ def containment_violations(
 
 def floor_closure_violations(ex: Execution) -> list[tuple[int, int]]:
     """(d, config index) pairs where the level floor at d held earlier in the
-    trace but fails at that configuration."""
-    topo, fm = ex.topo, ex.fm
+    trace but fails at that configuration, the first such index for each d,
+    ordered by d.
+
+    Since the floor holds at d exactly when d is at most the configuration's
+    height (see :func:`level_floor_holds`), it regresses at d the first time
+    a height falls below d after some earlier height reached d; one pass
+    over the heights finds every such pair."""
     out = []
-    for d in range(topo.diameter + 1):
-        seen = False
-        for i, cfg in enumerate(ex.configs):
-            ok = level_floor_holds(topo, fm, cfg, d)
-            if seen and not ok:
-                out.append((d, i))
-                break
-            seen = seen or ok
+    # Depths at which the floor held at some earlier configuration and has
+    # not regressed yet, ascending: 0..best except those already reported.
+    pending: list[int] = []
+    best = -1
+    for i, h in enumerate(_floor_heights(ex.topo, ex.fm, ex.configs)):
+        while pending and pending[-1] > h:
+            out.append((pending.pop(), i))
+        if h > best:
+            pending.extend(range(best + 1, h + 1))
+            best = h
+    out.sort()
     return out
 
 

@@ -85,6 +85,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a run config must be a JSON object, not {d!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
@@ -273,24 +275,28 @@ def cmd_sweep(args) -> int:
         print("error: sweep grid must be a nonempty JSON list", file=sys.stderr)
         return 2
     rows = []
-    bad = 0
+    malformed = failed = 0
     for entry in grid:
-        rc = RunConfig.from_dict(entry)
+        rc = RunConfig()
         try:
+            rc = RunConfig.from_dict(entry)
             row, failures, _ = execute_run(rc)
-            if failures:
-                bad += 1
-                row["error"] = "; ".join(failures)
         except (ValueError, GenerationError, ScenarioError) as exc:
-            bad += 1
+            malformed += 1
             row = metrics_row(
                 rc.scenario_id(), rc.seed, error=f"{type(exc).__name__}: {exc}"
             )
+        else:
+            if failures:
+                failed += 1
+                row["error"] = "; ".join(failures)
         rows.append(row)
     rows.sort(key=lambda r: (str(r["scenario"]), r["seed"]))
     write_metrics_csv(rows, args.out)
-    print(f"{len(rows)} rows ({bad} with errors) -> {args.out}")
-    return 0 if bad == 0 else 1
+    print(f"{len(rows)} rows ({malformed + failed} with errors) -> {args.out}")
+    if malformed:
+        return 2
+    return 1 if failed else 0
 
 
 def cmd_exhaustive(args) -> int:

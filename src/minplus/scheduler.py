@@ -455,6 +455,8 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
             continue
         break
     topo, fm = parse_topology("\n".join(sections["topology"]))
+    if meta["topology_sha256"] != topology_sha256(topo, fm):
+        raise ValueError("trace topology does not match the header's topology_sha256")
     init = parse_config("\n".join(sections["init"]), topo.process_count)
     daemon_d = meta["daemon"]
     daemon = DaemonPolicy(
@@ -496,6 +498,10 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
         ex.configs.append(tuple(new_states))
     if not ended:
         raise ValueError("truncated trace: no end line")
+    if meta["steps"] != len(ex.steps):
+        raise ValueError(
+            f"trace header says {meta['steps']} steps, the trace has {len(ex.steps)}"
+        )
     return ex
 
 

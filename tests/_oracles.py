@@ -101,3 +101,23 @@ def random_connected_edges(rng: random.Random, n: int, extra_prob: float = 0.3):
                 edges.append((u, v))
                 present.add((u, v))
     return edges
+
+
+def floor_regressions(n: int, edges, root: int, byz, level_seqs) -> list[tuple[int, int]]:
+    """(d, index) pairs where the level floor at d held at an earlier entry
+    of ``level_seqs`` (one level per process each) and fails at this one,
+    the first such index for each d: one scan of the sequence per depth,
+    with the floor checked straight from its definition."""
+    dist = floyd_warshall(n, edges)
+    anchor = [min(dist[v][a] for a in {root, *byz}) for v in range(n)]
+    diameter = max(max(row) for row in dist)
+    out = []
+    for d in range(diameter + 1):
+        seen = False
+        for i, levels in enumerate(level_seqs):
+            ok = all(levels[v] >= min(d, anchor[v]) for v in range(n))
+            if seen and not ok:
+                out.append((d, i))
+                break
+            seen = seen or ok
+    return out

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from minplus import (
     AnalysisError,
     DaemonPolicy,
+    Execution,
     Oscillator,
     ProcState,
     Silent,
@@ -18,6 +19,7 @@ from minplus import (
     compute_containment_areas,
     containment_violations,
     enabled_set,
+    floor_closure_violations,
     hexagon_topology,
     is_area_legitimate,
     is_area_stable,
@@ -39,7 +41,7 @@ from minplus import (
 )
 from minplus.scenarios import corrupted_config, random_config
 
-from _oracles import random_connected_edges
+from _oracles import floor_regressions, random_connected_edges
 
 BOT = None
 
@@ -478,6 +480,74 @@ class TestFloorClosure:
         assert level_floor_holds(topo, fm, cfg, d)
         after = step(topo, fm, cfg, activated, writes)
         assert level_floor_holds(topo, fm, after, d)
+
+
+def _levels_execution(topo, fm, level_seqs):
+    configs = [tuple(ProcState(BOT, l) for l in levels) for levels in level_seqs]
+    return Execution(topo, fm, DaemonPolicy(), 0, "none", configs=configs)
+
+
+def _check_against_reference(topo, fm, edges, level_seqs):
+    got = floor_closure_violations(_levels_execution(topo, fm, level_seqs))
+    want = floor_regressions(
+        topo.process_count, edges, topo.root, fm.byzantine, level_seqs
+    )
+    assert got == want
+    return got
+
+
+@st.composite
+def level_sequences(draw):
+    n = draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    edges = random_connected_edges(rng, n)
+    topo = Topology.from_edges(n, 0, edges)
+    byz = set()
+    if n > 1:
+        byz = draw(st.sets(st.integers(1, n - 1), max_size=min(3, n - 1)))
+    fm = make_fault_model(topo, byz)
+    top = topo.diameter + 1
+    seqs = draw(
+        st.lists(
+            st.lists(st.integers(0, top), min_size=n, max_size=n),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return topo, fm, edges, seqs
+
+
+class TestFloorClosureViolations:
+    @settings(max_examples=400, deadline=None)
+    @given(level_sequences())
+    def test_matches_the_per_depth_reference(self, case):
+        _check_against_reference(*case)
+
+    def test_single_process_never_regresses(self):
+        topo = Topology.from_edges(1, 0, [])
+        fm = make_fault_model(topo, [])
+        assert topo.diameter == 0
+        assert _check_against_reference(topo, fm, [], [[0], [3], [0]]) == []
+
+    def test_levels_above_their_anchor_never_lower_the_floor(self):
+        edges = [(i, i + 1) for i in range(3)]
+        topo, fm = path_case(4)
+        seqs = [[0, 1, 2, 3], [0, 5, 7, 9], [0, 9, 9, 9], [0, 1, 2, 3]]
+        assert _check_against_reference(topo, fm, edges, seqs) == []
+
+    def test_several_depths_regress_at_one_configuration(self):
+        edges = [(i, i + 1) for i in range(4)]
+        topo, fm = path_case(5, byz=[4])
+        # Anchors 0, 1, 2, 1, 0; diameter 4.  Heights: 4, 1, 4, 0, 4.
+        seqs = [
+            [0, 1, 2, 1, 0],
+            [0, 1, 1, 1, 0],
+            [0, 6, 6, 6, 0],
+            [0, 0, 2, 1, 0],
+            [0, 1, 2, 1, 0],
+        ]
+        got = _check_against_reference(topo, fm, edges, seqs)
+        assert got == [(1, 3), (2, 1), (3, 1), (4, 1)]
 
 
 class TestExports:

@@ -198,11 +198,33 @@ class TestSweepCommand:
             ],
         )
         out = tmp_path / "metrics.csv"
-        assert main(["sweep", "--grid", grid, "--out", str(out)]) == 1
+        # A scenario that cannot be generated is malformed input.
+        assert main(["sweep", "--grid", grid, "--out", str(out)]) == 2
         rows = read_rows(out)
         assert len(rows) == 2
         errors = [r for r in rows if r["error"]]
         assert len(errors) == 1 and "GenerationError" in errors[0]["error"]
+
+    # Never contained within a zero step budget, so its check fails.
+    FAILS_CHECK = {"scenario": "path n=4 byz=3", "max_steps": 0, "check_containment": True}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"scenario": "path n=4", "max_steps": -5}, 5],
+        ids=["negative-budget", "not-an-object"],
+    )
+    def test_malformed_row_exits_2(self, tmp_path, bad):
+        grid = self.grid(tmp_path, [bad, self.FAILS_CHECK])
+        out = tmp_path / "metrics.csv"
+        assert main(["sweep", "--grid", grid, "--out", str(out)]) == 2
+        errors = [r["error"] for r in read_rows(out)]
+        assert len(errors) == 2 and any(e.startswith("ValueError: ") for e in errors)
+
+    def test_failed_checks_alone_exit_1(self, tmp_path):
+        grid = self.grid(tmp_path, [self.FAILS_CHECK])
+        out = tmp_path / "metrics.csv"
+        assert main(["sweep", "--grid", grid, "--out", str(out)]) == 1
+        assert read_rows(out)[0]["error"] == "containment: never reached"
 
     def test_empty_grid_is_a_usage_error(self, tmp_path):
         grid = self.grid(tmp_path, [])
@@ -291,6 +313,14 @@ class TestExitCodes:
         trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["replay", "--trace", str(trace)]) == 1
         assert "mismatch at step 1" in capsys.readouterr().out
+
+    def test_trace_with_an_edited_topology(self, tmp_path, capsys):
+        trace = tmp_path / "r.trace"
+        main(["run", "--scenario", "path n=5", "--trace", str(trace)])
+        text = trace.read_text().replace("\n2 3\n", "\n1 3\n", 1)
+        trace.write_text(text, encoding="utf-8")
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert "topology_sha256" in capsys.readouterr().err
 
     def test_negative_step_budget(self, capsys):
         code = main(["run", "--scenario", "path n=4", "--max-steps", "-5"])

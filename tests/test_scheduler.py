@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -404,6 +405,20 @@ class TestReplayAndTraces:
         lines[1] = header
         with pytest.raises(ValueError, match="malformed trace"):
             parse_trace("\n".join(lines) + "\n")
+
+    def test_header_step_count_must_match_the_body(self):
+        lines = trace_text(self.make_run()).splitlines()
+        header = json.loads(lines[1])
+        header["steps"] = 99
+        lines[1] = json.dumps(header, sort_keys=True)
+        with pytest.raises(ValueError, match="99 steps"):
+            parse_trace("\n".join(lines) + "\n")
+
+    def test_embedded_topology_must_match_the_header_hash(self):
+        text = trace_text(self.make_run())
+        assert "\n2 3\n" in text
+        with pytest.raises(ValueError, match="topology_sha256"):
+            parse_trace(text.replace("\n2 3\n", "\n1 3\n", 1))
 
 
 def test_negative_step_budget_is_rejected():
