@@ -17,7 +17,7 @@ def show(topo, fm, init, label):
         init,
         mp.DaemonPolicy("distributed", "random"),
         mp.Silent(),
-        mp.StopCriterion(max_steps=mp.step_budget(topo), quiescent=True),
+        mp.StopCriterion(max_steps=mp.step_budget(topo)),
         seed=1,
     )
     final = ex.final()

@@ -39,7 +39,7 @@ def main():
         mp.corrupted_config(topo, fm),
         mp.DaemonPolicy(),
         mp.FakeRoot(),
-        mp.StopCriterion(max_steps=mp.step_budget(topo), quiescent=True),
+        mp.StopCriterion(max_steps=mp.step_budget(topo)),
         seed=0,
     )
     print("hexagon final configuration as DOT:")

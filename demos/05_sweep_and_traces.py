@@ -45,7 +45,8 @@ def main():
     )
     execute_run(rc)
     back = mp.read_trace(trace_path)
-    print(f"trace round trip: {back.step_count} steps, replay ok = {mp.replay(back)}")
+    ok = mp.verify_replay(back) is None
+    print(f"trace round trip: {back.step_count} steps, replay ok = {ok}")
 
 
 if __name__ == "__main__":

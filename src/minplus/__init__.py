@@ -25,6 +25,7 @@ from .adversary import (
 from .analysis import (
     DisruptionSegment,
     StabilizationMetrics,
+    Violation,
     activation_counts,
     change_counts,
     containment_violations,
@@ -40,6 +41,7 @@ from .analysis import (
     segment_disruptions,
     spec_holds,
     to_dot,
+    violations,
     write_metrics_csv,
 )
 from .errors import (
@@ -55,8 +57,6 @@ from .graph import (
     Topology,
     anchor_distance,
     compute_containment_areas,
-    diameter,
-    hop_distance,
     make_fault_model,
     radius_area,
     read_topology,
@@ -69,7 +69,6 @@ from .protocol import (
     Config,
     ProcState,
     apply_rule,
-    changed_processes,
     choose,
     config_text,
     is_enabled,
@@ -107,9 +106,7 @@ from .scheduler import (
     StopCriterion,
     continue_run,
     enabled_set,
-    quiescent,
     read_trace,
-    replay,
     run,
     slice_execution,
     step_budget,

@@ -3,7 +3,8 @@
 Everything here is read-only analysis over immutable configurations and
 traces: the per-process specification predicate, the inductive level floor,
 area legitimacy and stability, containment membership, disruption
-segmentation, activation accounting, and trace metrics.
+segmentation, activation accounting, trace metrics, and the one verdict
+function, :func:`violations`, that every front end reports from.
 
 The central objects are *areas*: sets of correct processes that a Byzantine
 placement may disturb.  Checks are parameterized by an explicit area, so
@@ -154,6 +155,14 @@ def is_area_stable(
         rounds += 1
 
 
+def _contained(topo: Topology, fm: FaultModel, cfg: Config, area) -> bool:
+    # The level floor holds at the diameter and every correct process
+    # outside the area satisfies the spec predicate.
+    return level_floor_holds(topo, fm, cfg, topo.diameter) and is_area_legitimate(
+        topo, fm, cfg, area
+    )
+
+
 def is_contained(
     topo: Topology,
     fm: FaultModel,
@@ -164,10 +173,8 @@ def is_contained(
     near area and the level floor holds at the diameter.  From such a
     configuration no correct process outside the near area ever acts again.
     """
-    if areas is None:
-        areas = compute_containment_areas(topo, fm)
-    return level_floor_holds(topo, fm, cfg, topo.diameter) and is_area_legitimate(
-        topo, fm, cfg, areas.near
+    return _contained(
+        topo, fm, cfg, (areas or compute_containment_areas(topo, fm)).near
     )
 
 
@@ -181,11 +188,23 @@ def is_strongly_contained(
     strictly-near area (so the frontier is correct too) and the level floor
     holds at the diameter.  From here the disruption and per-process change
     bounds apply."""
-    if areas is None:
-        areas = compute_containment_areas(topo, fm)
-    return level_floor_holds(topo, fm, cfg, topo.diameter) and is_area_legitimate(
-        topo, fm, cfg, areas.strictly_near
+    return _contained(
+        topo, fm, cfg, (areas or compute_containment_areas(topo, fm)).strictly_near
     )
+
+
+def _changes(
+    ex: Execution, watch, from_index: int = 0, to_index: int | None = None
+) -> list[tuple[int, int]]:
+    # (i, v) for each v in watch that changes in steps from_index+1..to_index.
+    configs = ex.configs
+    if to_index is None:
+        to_index = len(configs) - 1
+    out: list[tuple[int, int]] = []
+    for i in range(from_index + 1, to_index + 1):
+        before, after = configs[i - 1], configs[i]
+        out += [(i, v) for v in watch if before[v] != after[v]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -213,11 +232,7 @@ def segment_disruptions(
     area = _check_area(topo, fm, area)
     watch = _watch_set(topo, fm, area)
     total = len(ex.steps)
-    changes = []
-    for i in range(1, total + 1):
-        before, after = ex.configs[i - 1], ex.configs[i]
-        if any(before[v] != after[v] for v in watch):
-            changes.append(i)
+    changes = sorted({i for i, _ in _changes(ex, watch)})
     if not changes:
         return []
 
@@ -251,11 +266,8 @@ def segment_disruptions(
         end = next((j for j in range(c, total + 1) if anchor(j)), None)
         if end is None:
             break
-        touched = set()
-        for i in range(start + 1, end + 1):
-            before, after = ex.configs[i - 1], ex.configs[i]
-            touched.update(v for v in watch if before[v] != after[v])
-        segments.append(DisruptionSegment(start, end, frozenset(touched)))
+        touched = frozenset(v for _, v in _changes(ex, watch, start, end))
+        segments.append(DisruptionSegment(start, end, touched))
         while k < len(changes) and changes[k] <= end:
             k += 1
     return segments
@@ -307,10 +319,6 @@ class StabilizationMetrics:
     max_settled_changes: int | None
     actions_to_contain: int | None
 
-    @property
-    def max_changes(self) -> int:
-        return max(self.changes_by_process.values(), default=0)
-
 
 def measure(ex: Execution) -> StabilizationMetrics:
     """Compute stabilization metrics for one execution."""
@@ -344,11 +352,7 @@ def measure(ex: Execution) -> StabilizationMetrics:
     )
     changes = change_counts(ex, from_index=first_strong)
     pre = change_counts(ex, from_index=0, to_index=first_strong)
-    settlers = [
-        v
-        for v in topo.processes()
-        if fm.is_correct(v) and v not in areas.strictly_near
-    ]
+    settlers = _watch_set(topo, fm, areas.strictly_near)
     return StabilizationMetrics(
         first_contained=first_contained,
         first_strongly_contained=first_strong,
@@ -365,11 +369,7 @@ def containment_violations(
     """(step, process) pairs where a correct process outside the area changed
     state after configuration ``from_index``."""
     watch = _watch_set(ex.topo, ex.fm, _check_area(ex.topo, ex.fm, area))
-    out = []
-    for i in range(from_index + 1, len(ex.configs)):
-        before, after = ex.configs[i - 1], ex.configs[i]
-        out.extend((i, v) for v in watch if before[v] != after[v])
-    return out
+    return _changes(ex, watch, from_index)
 
 
 def floor_closure_violations(ex: Execution) -> list[tuple[int, int]]:
@@ -393,6 +393,73 @@ def floor_closure_violations(ex: Execution) -> list[tuple[int, int]]:
             pending.extend(range(best + 1, h + 1))
             best = h
     out.sort()
+    return out
+
+
+_WORDING = {
+    "floor": "floor regressed at d={bound}, config {step}",
+    "never_contained": "containment never reached",
+    "shielded": "shielded process {process} changed at step {step}",
+    "never_strongly_contained": "strong containment never reached",
+    "frontier": "frontier process {process} activated {observed} times (degree {bound})",
+    "disruptions": "{observed} disruptions exceed bound {bound}",
+    "changes": "process {process} changed {observed} times (bound {bound})",
+}
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed containment check: ``step`` is a configuration index,
+    ``observed`` a measured count, and ``bound`` the limit it broke (for
+    ``floor``, the depth whose floor regressed)."""
+
+    kind: str
+    step: int | None = None
+    process: int | None = None
+    observed: int | None = None
+    bound: int | None = None
+
+    def __str__(self) -> str:
+        return _WORDING[self.kind].format_map(vars(self))
+
+
+def violations(
+    ex: Execution,
+    metrics: StabilizationMetrics | None = None,
+    areas: ContainmentAreas | None = None,
+) -> list[Violation]:
+    """Every containment guarantee the execution breaks, in the order of
+    ``_WORDING``.  Nothing is reported past ``never_contained`` or
+    ``never_strongly_contained``; the last three kinds count from the first
+    strongly contained configuration.  ``metrics`` and ``areas`` are those
+    of ``ex``, computed when not given."""
+    topo = ex.topo
+    areas = areas or compute_containment_areas(topo, ex.fm)
+    metrics = metrics or measure(ex)
+    out = [Violation("floor", step=i, bound=d) for d, i in floor_closure_violations(ex)]
+    if metrics.first_contained is None:
+        return out + [Violation("never_contained")]
+    out.extend(
+        Violation("shielded", step=i, process=v)
+        for i, v in containment_violations(ex, metrics.first_contained, areas.near)
+    )
+    if metrics.first_strongly_contained is None:
+        return out + [Violation("never_strongly_contained")]
+    acts = activation_counts(ex, metrics.first_strongly_contained)
+    out.extend(
+        Violation("frontier", process=v, observed=acts[v], bound=topo.degree(v))
+        for v in sorted(areas.frontier)
+        if acts[v] > topo.degree(v)
+    )
+    bound, found = 2 * topo.edge_count, metrics.disruption_count
+    if found > bound:
+        out.append(Violation("disruptions", observed=found, bound=bound))
+    changes = metrics.changes_by_process
+    out.extend(
+        Violation("changes", process=v, observed=changes[v], bound=topo.max_degree)
+        for v in sorted(changes)
+        if v not in areas.strictly_near and changes[v] > topo.max_degree
+    )
     return out
 
 

@@ -22,15 +22,11 @@ from pathlib import Path
 
 from .adversary import make_adversary
 from .analysis import (
-    activation_counts,
-    change_counts,
     compute_containment_areas,
-    containment_violations,
-    floor_closure_violations,
     measure,
     metrics_row,
-    segment_disruptions,
     to_dot,
+    violations,
     write_metrics_csv,
 )
 from .errors import GenerationError, ScenarioError
@@ -53,12 +49,29 @@ from .scheduler import (
     StopCriterion,
     read_trace,
     run,
-    slice_execution,
     step_budget,
     verify_replay,
     write_trace,
 )
 from .protocol import read_config
+
+
+# What each run-config field annotation admits of a JSON value.
+_JSON_TYPES = {
+    "str": lambda value: isinstance(value, str),
+    "int": lambda value: type(value) is int,
+    "bool": lambda value: type(value) is bool,
+    "tuple[int, ...]": lambda value: isinstance(value, (list, tuple))
+    and all(type(b) is int for b in value),
+}
+
+# The violation kinds each check flag reports.
+_CHECKS = {
+    "check_closure": {"floor"},
+    "check_containment": {"never_contained", "shielded"},
+    "check_bounds": {"never_contained", "never_strongly_contained"}
+    | {"frontier", "disruptions", "changes"},
+}
 
 
 @dataclass(frozen=True)
@@ -73,7 +86,6 @@ class RunConfig:
     fairness: str = RANDOM
     seed: int = 0
     max_steps: int | None = None
-    quiescent: bool = False
     init: str = "corrupted"
     trace: str | None = None
     metrics: str | None = None
@@ -87,12 +99,21 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         if not isinstance(d, dict):
             raise ValueError(f"a run config must be a JSON object, not {d!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        # Runs always stop once nothing can happen, so the old "quiescent"
+        # switch is dropped and config files that still carry it load.
+        d = {k: v for k, v in d.items() if k != "quiescent"}
+        fields = cls.__dataclass_fields__
+        unknown = set(d) - set(fields)
         if unknown:
             raise ValueError(f"unknown run-config keys: {sorted(unknown)}")
-        if "byz" in d and d["byz"] is not None:
-            d = dict(d, byz=tuple(d["byz"]))
+        for key, value in d.items():
+            kind, _, optional = fields[key].type.partition(" | ")
+            if not ((optional and value is None) or _JSON_TYPES[kind](value)):
+                raise ValueError(
+                    f"run-config {key} must be {fields[key].type}, not {value!r}"
+                )
+        if d.get("byz") is not None:
+            d["byz"] = tuple(d["byz"])
         return cls(**d)
 
     def scenario_id(self) -> str:
@@ -122,15 +143,14 @@ def _initial_config(rc: RunConfig, topo, fm):
 
 
 def execute_run(rc: RunConfig):
-    """Run one configuration; returns (metrics row, check failures, execution)."""
+    """Run one configuration; returns (metrics row, violations, execution)."""
     topo, fm = _build_topology(rc)
     areas = compute_containment_areas(topo, fm)
     init = _initial_config(rc, topo, fm)
     adversary = make_adversary(rc.adversary)
     daemon = DaemonPolicy(kind=rc.daemon, fairness=rc.fairness)
     stop = StopCriterion(
-        max_steps=rc.max_steps if rc.max_steps is not None else step_budget(topo),
-        quiescent=rc.quiescent,
+        max_steps=rc.max_steps if rc.max_steps is not None else step_budget(topo)
     )
     ex = run(topo, fm, init, daemon, adversary, stop, seed=rc.seed)
     # Output locations do not determine the run, so they stay out of the header.
@@ -142,24 +162,10 @@ def execute_run(rc: RunConfig):
     }
     metrics = measure(ex)
 
-    failures: list[str] = []
-    if rc.check_closure:
-        failures.extend(
-            f"closure: floor regressed at d={d}, config {i}"
-            for d, i in floor_closure_violations(ex)
-        )
-    if rc.check_containment:
-        if metrics.first_contained is None:
-            failures.append("containment: never reached")
-        else:
-            failures.extend(
-                f"containment: shielded process {v} changed at step {i}"
-                for i, v in containment_violations(
-                    ex, metrics.first_contained, areas.near
-                )
-            )
-    if rc.check_bounds:
-        failures.extend(_bound_failures(ex, metrics, areas))
+    kinds = {k for flag, ks in _CHECKS.items() if getattr(rc, flag) for k in ks}
+    failures = (
+        [v for v in violations(ex, metrics, areas) if v.kind in kinds] if kinds else []
+    )
 
     if rc.export_topology:
         write_topology(topo, fm, rc.export_topology)
@@ -173,36 +179,6 @@ def execute_run(rc: RunConfig):
     if rc.metrics:
         write_metrics_csv([row], rc.metrics)
     return row, failures, ex
-
-
-def _bound_failures(ex, metrics, areas) -> list[str]:
-    topo = ex.topo
-    if metrics.first_contained is None:
-        return ["bounds: containment never reached"]
-    if metrics.first_strongly_contained is None:
-        return ["bounds: strong containment never reached"]
-    out = []
-    acts = activation_counts(ex, metrics.first_strongly_contained)
-    for v in sorted(areas.frontier):
-        if acts[v] > topo.degree(v):
-            out.append(
-                f"bounds: frontier process {v} activated {acts[v]} times "
-                f"(degree {topo.degree(v)})"
-            )
-    segments = segment_disruptions(
-        slice_execution(ex, metrics.first_strongly_contained), areas.strictly_near
-    )
-    bound = 2 * topo.edge_count
-    if len(segments) > bound:
-        out.append(f"bounds: {len(segments)} disruptions exceed {bound}")
-    changes = change_counts(ex, metrics.first_strongly_contained)
-    for v in sorted(changes):
-        if v not in areas.strictly_near and changes[v] > topo.max_degree:
-            out.append(
-                f"bounds: process {v} changed {changes[v]} times "
-                f"(bound {topo.max_degree})"
-            )
-    return out
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -219,12 +195,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seed", type=int)
     p.add_argument("--max-steps", type=int, dest="max_steps")
-    p.add_argument(
-        "--quiescent",
-        action="store_true",
-        default=None,
-        help="stop once nothing is enabled and the adversary is done",
-    )
     p.add_argument("--init", help="zero|corrupted|random|FILE")
     p.add_argument("--trace", help="write the trace here")
     p.add_argument("--metrics", help="write a one-row metrics CSV here")
@@ -289,7 +259,7 @@ def cmd_sweep(args) -> int:
         else:
             if failures:
                 failed += 1
-                row["error"] = "; ".join(failures)
+                row["error"] = "; ".join(map(str, failures))
         rows.append(row)
     rows.sort(key=lambda r: (str(r["scenario"]), r["seed"]))
     write_metrics_csv(rows, args.out)

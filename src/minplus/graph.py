@@ -229,16 +229,6 @@ def radius_area(topo: Topology, fm: FaultModel, c: int) -> frozenset[int]:
     )
 
 
-def hop_distance(topo: Topology, u: int, v: int) -> int:
-    """Length of the shortest path between u and v."""
-    return topo.hop_distance(u, v)
-
-
-def diameter(topo: Topology) -> int:
-    """Maximum pairwise hop distance."""
-    return topo.diameter
-
-
 # ---------------------------------------------------------------------------
 # Topology file format: first line "n root", then one "u v" line per edge in
 # neighbor order, then an optional "byz id id ..." line.

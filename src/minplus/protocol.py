@@ -168,11 +168,6 @@ def normalize_config(topo: Topology, fm: FaultModel, cfg: Config) -> Config:
     return tuple(new)
 
 
-def changed_processes(before: Config, after: Config) -> frozenset[int]:
-    """Processes whose output variables differ between two configurations."""
-    return frozenset(v for v in range(len(before)) if before[v] != after[v])
-
-
 # ---------------------------------------------------------------------------
 # Configuration file format: one "id prnt level" line per process, with
 # prnt = -1 encoding bottom.

@@ -250,6 +250,34 @@ def _line_chain(c: int) -> Config:
     )
 
 
+def _replay_cycles(
+    topo: Topology,
+    fm: FaultModel,
+    two_sided: Config,
+    tree: Config,
+    b: int,
+    cycles: int,
+    seed: int,
+) -> Execution:
+    # Converge to the two-sided configuration under MirrorRoot; then, each
+    # cycle, converge to the tree under WellBehaved, take one FakeRoot step
+    # that resets b to (bottom, 0), and return to two-sided under MirrorRoot.
+    quiesce = StopCriterion(max_steps=step_budget(topo))
+    reset = tree[:b] + (ProcState(None, 0),) + tree[b + 1 :]
+    ex = run(
+        topo, fm, corrupted_config(topo, fm), _CENTRAL_RR, MirrorRoot(), quiesce, seed
+    )
+    _expect(ex, "converge-two-sided", two_sided)
+    for k in range(cycles):
+        continue_run(ex, _CENTRAL_RR, WellBehaved(), quiesce, seed)
+        _expect(ex, f"cycle{k}-converge-tree", tree)
+        continue_run(ex, _CENTRAL_RR, FakeRoot(), StopCriterion(max_steps=1), seed)
+        _expect(ex, f"cycle{k}-reset", reset)
+        continue_run(ex, _CENTRAL_RR, MirrorRoot(), quiesce, seed)
+        _expect(ex, f"cycle{k}-return-two-sided", two_sided)
+    return ex
+
+
 def replay_strong_impossibility(c: int, cycles: int, seed: int = 0) -> Execution:
     """Drive the 2c+4 chain through its endless two-sided/one-sided cycle.
 
@@ -262,47 +290,17 @@ def replay_strong_impossibility(c: int, cycles: int, seed: int = 0) -> Execution
     if c < 0 or cycles < 1:
         raise ValueError("need c >= 0 and cycles >= 1")
     topo, fm = line_topology(c)
-    budget = step_budget(topo)
-    quiesce = StopCriterion(max_steps=budget, quiescent=True)
-    two_sided = _line_two_sided(c)
-    chain = _line_chain(c)
-    reset = ProcState(None, 0)
     b = topo.process_count - 1
-
-    ex = run(
-        topo, fm, corrupted_config(topo, fm), _CENTRAL_RR, MirrorRoot(), quiesce, seed
-    )
-    _expect(ex, "converge-two-sided", two_sided)
-    for k in range(cycles):
-        continue_run(ex, _CENTRAL_RR, WellBehaved(), quiesce, seed)
-        _expect(ex, f"cycle{k}-converge-chain", chain)
-        continue_run(ex, _CENTRAL_RR, FakeRoot(), StopCriterion(max_steps=1), seed)
-        _expect(ex, f"cycle{k}-reset", chain[:b] + (reset,))
-        continue_run(ex, _CENTRAL_RR, MirrorRoot(), quiesce, seed)
-        _expect(ex, f"cycle{k}-return-two-sided", two_sided)
-    return ex
+    return _replay_cycles(topo, fm, _line_two_sided(c), _line_chain(c), b, cycles, seed)
 
 
-def _hexagon_two_sided() -> Config:
-    return (
-        ProcState(None, 0),
-        ProcState(0, 1),
-        ProcState(0, 1),
-        ProcState(5, 1),
-        ProcState(5, 1),
-        ProcState(None, 0),
-    )
-
-
-def _hexagon_tree() -> Config:
-    return (
-        ProcState(None, 0),
-        ProcState(0, 1),
-        ProcState(0, 1),
-        ProcState(1, 2),
-        ProcState(2, 2),
-        ProcState(3, 3),
-    )
+# The hexagon cycle's two targets, as (parent, level) per process.
+_HEXAGON_TWO_SIDED = tuple(
+    ProcState(*s) for s in [(None, 0), (0, 1), (0, 1), (5, 1), (5, 1), (None, 0)]
+)
+_HEXAGON_TREE = tuple(
+    ProcState(*s) for s in [(None, 0), (0, 1), (0, 1), (1, 2), (2, 2), (3, 3)]
+)
 
 
 def replay_ta_strong_impossibility(
@@ -321,21 +319,6 @@ def replay_ta_strong_impossibility(
     if not (area < pair):
         raise ValueError(f"area_choice must be a proper subset of {sorted(pair)}")
     topo, fm = hexagon_topology()
-    budget = step_budget(topo)
-    quiesce = StopCriterion(max_steps=budget, quiescent=True)
-    two_sided = _hexagon_two_sided()
-    tree = _hexagon_tree()
-    b = HEXAGON["b"]
-
-    ex = run(
-        topo, fm, corrupted_config(topo, fm), _CENTRAL_RR, MirrorRoot(), quiesce, seed
+    return _replay_cycles(
+        topo, fm, _HEXAGON_TWO_SIDED, _HEXAGON_TREE, HEXAGON["b"], cycles, seed
     )
-    _expect(ex, "converge-two-sided", two_sided)
-    for k in range(cycles):
-        continue_run(ex, _CENTRAL_RR, WellBehaved(), quiesce, seed)
-        _expect(ex, f"cycle{k}-converge-tree", tree)
-        continue_run(ex, _CENTRAL_RR, FakeRoot(), StopCriterion(max_steps=1), seed)
-        _expect(ex, f"cycle{k}-reset", tree[:b] + (ProcState(None, 0),))
-        continue_run(ex, _CENTRAL_RR, MirrorRoot(), quiesce, seed)
-        _expect(ex, f"cycle{k}-return-two-sided", two_sided)
-    return ex

@@ -78,15 +78,13 @@ class StopCriterion:
 
     ``max_steps`` always caps the run.  A run also ends once no correct
     process is enabled, the adversary writes nothing and reports it is done,
-    since nothing can happen after that; ``quiescent`` asks for that stop
-    explicitly and is always in force.  While the adversary is not done, a
+    since nothing can happen after that.  While the adversary is not done, a
     step with nothing enabled and nothing written is recorded as an idle
     step.  With a ``predicate`` the run ends ``extra_after`` steps after the
     first configuration satisfying it.
     """
 
     max_steps: int
-    quiescent: bool = False
     predicate: Callable[[Config], bool] | None = None
     extra_after: int = 0
 
@@ -162,9 +160,7 @@ def run(
         adversary_desc=adversary.describe(),
         configs=[init],
     )
-    adversary.reset(topo, fm)
-    _drive(ex, daemon, adversary, stop, seed)
-    return ex
+    return continue_run(ex, daemon, adversary, stop, seed)
 
 
 def continue_run(
@@ -315,10 +311,6 @@ def _drive(
                 )
 
 
-def quiescent(topo: Topology, fm: FaultModel, cfg: Config) -> bool:
-    return not enabled_set(topo, fm, cfg)
-
-
 def slice_execution(ex: Execution, from_index: int) -> Execution:
     """View of an execution starting at configuration ``from_index``."""
     if not 0 <= from_index < len(ex.configs):
@@ -352,11 +344,6 @@ def verify_replay(ex: Execution) -> int | None:
         if expected != ex.configs[i + 1]:
             return i + 1
     return None
-
-
-def replay(ex: Execution) -> bool:
-    """True iff every stored transition is reproduced by applying the rules."""
-    return verify_replay(ex) is None
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def _fault_free_case(topo, rng, failures):
             init,
             SYNC,
             Silent(),
-            StopCriterion(max_steps=step_budget(topo), quiescent=True),
+            StopCriterion(max_steps=step_budget(topo)),
         )
         label = f"edges={list(topo.edges)} root={topo.root} init={name}"
         if enabled_set(topo, fm, ex.final()):

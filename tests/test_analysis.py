@@ -11,8 +11,11 @@ from minplus import (
     Oscillator,
     ProcState,
     Silent,
+    StabilizationMetrics,
+    StepRecord,
     StopCriterion,
     Topology,
+    Violation,
     activation_counts,
     anchor_distance,
     change_counts,
@@ -38,6 +41,7 @@ from minplus import (
     step,
     step_budget,
     to_dot,
+    violations,
 )
 from minplus.scenarios import corrupted_config, random_config
 
@@ -255,7 +259,7 @@ class TestSegments:
             exact_bfs_forest(topo, fm),
             DaemonPolicy(),
             Silent(),
-            StopCriterion(max_steps=10, quiescent=True),
+            StopCriterion(max_steps=10),
         )
         assert segment_disruptions(ex, frozenset()) == []
 
@@ -299,7 +303,7 @@ class TestCounts:
             corrupted_config(topo, fm),
             DaemonPolicy(),
             Silent(),
-            StopCriterion(max_steps=step_budget(topo), quiescent=True),
+            StopCriterion(max_steps=step_budget(topo)),
             seed=2,
         )
         acts = activation_counts(ex, from_index=ex.step_count)
@@ -333,7 +337,7 @@ class TestCounts:
             corrupted_config(topo, fm),
             DaemonPolicy("synchronous", "round_robin"),
             Silent(),
-            StopCriterion(max_steps=50, quiescent=True),
+            StopCriterion(max_steps=50),
         )
         total = change_counts(ex)
         prefix = change_counts(ex, 0, 1)
@@ -548,6 +552,139 @@ class TestFloorClosureViolations:
         ]
         got = _check_against_reference(topo, fm, edges, seqs)
         assert got == [(1, 3), (2, 1), (3, 1), (4, 1)]
+
+
+def hand_made(topo, fm, configs, activated=None):
+    """An execution through ``configs``.  Step i activates ``activated[i]``
+    when given, else the correct processes it changes; the Byzantine
+    processes it changes are its writes."""
+    steps = []
+    for i, (before, after) in enumerate(zip(configs, configs[1:])):
+        changed = [v for v in topo.processes() if before[v] != after[v]]
+        acts = (
+            activated[i]
+            if activated is not None
+            else [v for v in changed if fm.is_correct(v)]
+        )
+        writes = tuple((b, after[b]) for b in changed if b in fm.byzantine)
+        steps.append(StepRecord(frozenset(acts), writes))
+    return Execution(
+        topo, fm, DaemonPolicy(), 0, "hand-made", configs=list(configs), steps=steps
+    )
+
+
+class TestViolations:
+    """One hand-made execution per violation kind, checked record for
+    record and word for word."""
+
+    def check(self, ex, expected, texts):
+        found = violations(ex)
+        assert found == expected
+        assert [str(v) for v in found] == texts
+
+    def test_floor_regression(self):
+        topo, fm = path_case(3)
+        tree = (ProcState(BOT, 0), ProcState(0, 1), ProcState(1, 2))
+        low = tree[:2] + (ProcState(1, 0),)  # below its anchor distance 2
+        self.check(
+            hand_made(topo, fm, [tree, low]),
+            [
+                Violation("floor", step=1, bound=1),
+                Violation("floor", step=1, bound=2),
+                Violation("shielded", step=1, process=2),
+            ],
+            [
+                "floor regressed at d=1, config 1",
+                "floor regressed at d=2, config 1",
+                "shielded process 2 changed at step 1",
+            ],
+        )
+
+    def test_never_contained(self):
+        topo, fm = path_case(3)
+        zero = (ProcState(BOT, 0),) * 3
+        self.check(
+            hand_made(topo, fm, [zero]),
+            [Violation("never_contained")],
+            ["containment never reached"],
+        )
+
+    def test_shielded_change(self):
+        topo, fm = path_case(3)
+        tree = (ProcState(BOT, 0), ProcState(0, 1), ProcState(1, 2))
+        off = tree[:2] + (ProcState(1, 3),)
+        self.check(
+            hand_made(topo, fm, [tree, off]),
+            [Violation("shielded", step=1, process=2)],
+            ["shielded process 2 changed at step 1"],
+        )
+
+    def test_never_strongly_contained(self):
+        # The frozen trap: process 1 hangs off a Byzantine process at level
+        # 0 with a parent, so the spec fails for it forever.
+        topo = Topology.from_edges(3, 0, [(0, 1), (1, 2), (0, 2)])
+        fm = make_fault_model(topo, [2])
+        trap = (ProcState(BOT, 0), ProcState(2, 1), ProcState(1, 0))
+        self.check(
+            hand_made(topo, fm, [trap]),
+            [Violation("never_strongly_contained")],
+            ["strong containment never reached"],
+        )
+
+    def test_frontier_activations(self):
+        # The claw: 1 and 2 are frontier, 2 has degree 1.  Two activations
+        # that rewrite identical values count against the degree bound but
+        # are no changes.
+        topo = Topology.from_edges(4, 0, [(0, 1), (1, 2), (1, 3)])
+        fm = make_fault_model(topo, [3])
+        settled = (ProcState(BOT, 0), ProcState(0, 1), ProcState(1, 2))
+        settled += (ProcState(BOT, 0),)
+        self.check(
+            hand_made(topo, fm, [settled] * 3, activated=[{2}, {2}]),
+            [Violation("frontier", process=2, observed=2, bound=1)],
+            ["frontier process 2 activated 2 times (degree 1)"],
+        )
+
+    def test_disruptions_and_changes(self):
+        # One edge, so at most 2 disruptions and 1 change a process; process
+        # 1 leaves the tree and returns three times.
+        topo, fm = path_case(2)
+        tree = (ProcState(BOT, 0), ProcState(0, 1))
+        off = (ProcState(BOT, 0), ProcState(0, 2))
+        ex = hand_made(topo, fm, [tree, off] * 3 + [tree])
+        assert measure(ex).disruption_count == 3
+        self.check(
+            ex,
+            [Violation("shielded", step=i, process=1) for i in range(1, 7)]
+            + [
+                Violation("disruptions", observed=3, bound=2),
+                Violation("changes", process=1, observed=6, bound=1),
+            ],
+            [f"shielded process 1 changed at step {i}" for i in range(1, 7)]
+            + [
+                "3 disruptions exceed bound 2",
+                "process 1 changed 6 times (bound 1)",
+            ],
+        )
+
+    def test_reads_the_given_metrics(self):
+        topo, fm = path_case(2)
+        tree = (ProcState(BOT, 0), ProcState(0, 1))
+        ex = hand_made(topo, fm, [tree])
+        m = measure(ex)
+        assert violations(ex, m) == []
+        inflated = StabilizationMetrics(
+            first_contained=0,
+            first_strongly_contained=0,
+            disruption_count=5,
+            changes_by_process={0: 0, 1: 4},
+            max_settled_changes=4,
+            actions_to_contain=0,
+        )
+        assert violations(ex, inflated) == [
+            Violation("disruptions", observed=5, bound=2),
+            Violation("changes", process=1, observed=4, bound=1),
+        ]
 
 
 class TestExports:

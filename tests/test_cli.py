@@ -1,8 +1,11 @@
 import csv
 import json
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minplus.cli import RunConfig, execute_run, main
+from minplus.scheduler import read_trace
 
 
 def read_rows(path):
@@ -43,7 +46,6 @@ class TestRunCommand:
                 "run",
                 "--scenario",
                 "path n=6",
-                "--quiescent",
                 "--dot",
                 str(dot),
             ]
@@ -155,14 +157,88 @@ class TestRunCommand:
         init = tmp_path / "init.cfg"
         init.write_text("0 -1 0\n1 0 1\n2 1 2\n3 2 3\n", encoding="utf-8")
         code = main(
-            ["run", "--scenario", "path n=4", "--init", str(init), "--quiescent"]
+            ["run", "--scenario", "path n=4", "--init", str(init)]
         )
         assert code == 0
+
+    def test_each_violation_prints_once(self, capsys):
+        # Both flags select "never_contained"; it is one record, one line.
+        code = main(
+            [
+                "run",
+                "--scenario",
+                "path n=4 byz=3",
+                "--max-steps",
+                "0",
+                "--check-containment",
+                "--check-bounds",
+            ]
+        )
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        fails = [line for line in out if line.startswith("FAIL")]
+        assert fails == ["FAIL containment never reached"]
 
     def test_rejects_unknown_config_keys(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"scenario": "path n=4", "bogus": 1}', encoding="utf-8")
         assert main(["run", "--config", str(cfg)]) == 2
+
+
+# Run-config values of the wrong JSON type.
+WRONG_TYPES = [
+    {"scenario": "path n=4", "max_steps": "x"},
+    {"scenario": "path n=4", "byz": 3},
+    {"scenario": 5},
+    {"scenario": "path n=4", "seed": "1"},
+    {"scenario": "path n=4", "check_bounds": "yes"},
+]
+WRONG_TYPE_IDS = ["max_steps-str", "byz-int", "scenario-int", "seed-str", "check-str"]
+
+
+class TestRunConfigTypes:
+    @pytest.mark.parametrize("bad", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+    def test_run_config_file_exits_2(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "error: run-config " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+    def test_sweep_row_exits_2(self, tmp_path, bad):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([bad]), encoding="utf-8")
+        out = tmp_path / "metrics.csv"
+        assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 2
+        assert read_rows(out)[0]["error"].startswith("ValueError: run-config ")
+
+    def test_byz_list_becomes_a_tuple(self):
+        rc = RunConfig.from_dict({"scenario": "path n=4", "byz": [3]})
+        assert rc.byz == (3,)
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(sorted(RunConfig.__dataclass_fields__) + ["quiescent"]),
+            st.recursive(
+                st.none()
+                | st.booleans()
+                | st.integers(-3, 3)
+                | st.floats(allow_nan=False)
+                | st.text("ab1 ", max_size=4),
+                lambda inner: st.lists(inner, max_size=3)
+                | st.dictionaries(st.text("ab", max_size=2), inner, max_size=2),
+                max_leaves=5,
+            ),
+        )
+    )
+    def test_any_json_object_gives_a_config_or_a_value_error(self, d):
+        try:
+            rc = RunConfig.from_dict(d)
+        except ValueError:
+            return
+        assert isinstance(rc, RunConfig)
+        assert rc.byz is None or all(type(b) is int for b in rc.byz)
+        assert type(rc.seed) is int and type(rc.check_bounds) is bool
 
 
 class TestSweepCommand:
@@ -224,7 +300,7 @@ class TestSweepCommand:
         grid = self.grid(tmp_path, [self.FAILS_CHECK])
         out = tmp_path / "metrics.csv"
         assert main(["sweep", "--grid", grid, "--out", str(out)]) == 1
-        assert read_rows(out)[0]["error"] == "containment: never reached"
+        assert read_rows(out)[0]["error"] == "containment never reached"
 
     def test_empty_grid_is_a_usage_error(self, tmp_path):
         grid = self.grid(tmp_path, [])
@@ -241,11 +317,24 @@ class TestReplayCommand:
                 "line c=1",
                 "--adversary",
                 "fake_root",
-                "--quiescent",
                 "--trace",
                 str(trace),
             ]
         )
+        assert main(["replay", "--trace", str(trace)]) == 0
+        assert "reproduced" in capsys.readouterr().out
+
+    def test_legacy_quiescent_key_in_the_header_loads(self, tmp_path, capsys):
+        # Traces written while runs took a "quiescent" switch carry it in
+        # the header's config; they still load and replay.
+        trace = tmp_path / "old.trace"
+        main(["run", "--scenario", "path n=5", "--trace", str(trace)])
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[1])
+        header["config"]["quiescent"] = False
+        lines[1] = json.dumps(header, sort_keys=True)
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read_trace(trace).meta_extra["quiescent"] is False
         assert main(["replay", "--trace", str(trace)]) == 0
         assert "reproduced" in capsys.readouterr().out
 
@@ -256,7 +345,6 @@ class TestReplayCommand:
                 "run",
                 "--scenario",
                 "path n=5",
-                "--quiescent",
                 "--trace",
                 str(trace),
             ]
@@ -304,7 +392,7 @@ class TestExitCodes:
         self, tmp_path, capsys
     ):
         trace = tmp_path / "r.trace"
-        main(["run", "--scenario", "path n=5", "--quiescent", "--trace", str(trace)])
+        main(["run", "--scenario", "path n=5", "--trace", str(trace)])
         lines = trace.read_text().splitlines()
         idx = next(i for i, l in enumerate(lines) if l.startswith("step "))
         # The root is settled in the corrupted start, so it is not enabled.
@@ -345,7 +433,7 @@ class TestExecuteRun:
     def test_resolved_config_is_stamped_into_the_trace(self, tmp_path):
         trace = tmp_path / "t.trace"
         rc = RunConfig(
-            scenario="path n=4", quiescent=True, seed=5, trace=str(trace)
+            scenario="path n=4", seed=5, trace=str(trace)
         )
         execute_run(rc)
         header = json.loads(trace.read_text().splitlines()[1])

@@ -10,7 +10,8 @@ documented and stable: the simulator reproduces them exactly.
    activation bound therefore starts at the first *strongly* contained
    configuration, where the chained frontier is already correct.  The claw
    run stays within the bound counted from there, and the bound checkers
-   (`minplus run --check-bounds`, `minplus exhaustive`) count from there too.
+   (`minplus.violations`, which `minplus run --check-bounds` and
+   `minplus exhaustive` report from) count from there too.
 
 2. A Byzantine process frozen at level 0 with a non-bottom parent is a
    trap: neighbors that adopt it become locally consistent (disabled
@@ -36,8 +37,8 @@ from minplus import (
     measure,
     run,
     spec_holds,
+    violations,
 )
-from minplus.cli import _bound_failures
 
 BOT = None
 
@@ -95,7 +96,7 @@ class TestChainedFrontierActivations:
         m = measure(ex)
         assert m.first_strongly_contained == 3
         assert activation_counts(ex, from_index=3)[2] == 0
-        assert _bound_failures(ex, m, areas) == []
+        assert violations(ex, m, areas) == []
 
     def test_settles_for_good_afterwards(self):
         topo, fm = claw_with_byzantine_leaf()
@@ -125,7 +126,7 @@ class TestDeceptiveFrozenByzantine:
             cfg,
             DaemonPolicy(),
             Silent(),
-            StopCriterion(max_steps=200, quiescent=True),
+            StopCriterion(max_steps=200),
         )
         assert ex.step_count == 0  # nothing is enabled, nothing ever moves
         m = measure(ex)
@@ -139,6 +140,6 @@ class TestDeceptiveFrozenByzantine:
         # neighbor state is a legitimate tree path.
         assert spec_holds(topo, fm, cfg, 1)
         m = measure(
-            run(topo, fm, cfg, DaemonPolicy(), Silent(), StopCriterion(max_steps=10, quiescent=True))
+            run(topo, fm, cfg, DaemonPolicy(), Silent(), StopCriterion(max_steps=10))
         )
         assert m.first_strongly_contained == 0

@@ -6,8 +6,6 @@ from minplus import (
     ContainmentAreas,
     Topology,
     compute_containment_areas,
-    diameter,
-    hop_distance,
     make_fault_model,
     radius_area,
 )
@@ -89,37 +87,37 @@ class TestHopDistance:
     def test_identity(self):
         topo, _ = hexagon()
         for v in topo.processes():
-            assert hop_distance(topo, v, v) == 0
+            assert topo.hop_distance(v, v) == 0
 
     def test_hexagon_root_to_byzantine(self):
         topo, _ = hexagon()
-        assert hop_distance(topo, 0, 5) == 3  # r-u-v-b
+        assert topo.hop_distance(0, 5) == 3  # r-u-v-b
 
     def test_path_endpoints(self):
         topo, _ = path(5)
-        assert hop_distance(topo, 0, 4) == 4
+        assert topo.hop_distance(0, 4) == 4
 
     def test_symmetry(self):
         topo, _ = hexagon()
         for u in topo.processes():
             for v in topo.processes():
-                assert hop_distance(topo, u, v) == hop_distance(topo, v, u)
+                assert topo.hop_distance(u, v) == topo.hop_distance(v, u)
 
     def test_invalid_id(self):
         topo, _ = path(3)
         with pytest.raises(ValueError):
-            hop_distance(topo, 0, 9)
+            topo.hop_distance(0, 9)
 
 
 class TestDiameter:
     def test_single_node(self):
-        assert diameter(Topology.from_edges(1, 0, [])) == 0
+        assert Topology.from_edges(1, 0, []).diameter == 0
 
     def test_path(self):
-        assert diameter(path(5)[0]) == 4
+        assert path(5)[0].diameter == 4
 
     def test_hexagon(self):
-        assert diameter(hexagon()[0]) == 3
+        assert hexagon()[0].diameter == 3
 
 
 class TestFaultModel:

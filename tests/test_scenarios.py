@@ -10,10 +10,10 @@ from minplus import (
     measure,
     parse_scenario,
     radius_area,
-    replay,
     replay_strong_impossibility,
     replay_ta_strong_impossibility,
     segment_disruptions,
+    verify_replay,
 )
 from minplus.scenarios import (
     all_zero_config,
@@ -119,7 +119,7 @@ class TestStrongImpossibilityReplay:
 
     def test_trace_replays_exactly(self):
         ex = replay_strong_impossibility(c=1, cycles=2)
-        assert replay(ex)
+        assert verify_replay(ex) is None
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
