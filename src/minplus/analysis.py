@@ -308,8 +308,7 @@ class StabilizationMetrics:
 
     Disruptions and per-process changes are counted from the first
     strongly-contained configuration, which is where the bounds start to
-    apply; ``actions_to_contain`` is the largest per-process change count
-    spent getting there (measured, not bounded).
+    apply.
     """
 
     first_contained: int | None
@@ -317,13 +316,13 @@ class StabilizationMetrics:
     disruption_count: int | None
     changes_by_process: dict[int, int]
     max_settled_changes: int | None
-    actions_to_contain: int | None
 
 
-def measure(ex: Execution) -> StabilizationMetrics:
-    """Compute stabilization metrics for one execution."""
+def measure(ex: Execution, areas: ContainmentAreas | None = None) -> StabilizationMetrics:
+    """Compute stabilization metrics for one execution; ``areas`` are those
+    of ``ex``, computed when not given."""
     topo, fm = ex.topo, ex.fm
-    areas = compute_containment_areas(topo, fm)
+    areas = areas or compute_containment_areas(topo, fm)
     first_contained = next(
         (i for i, cfg in enumerate(ex.configs) if is_contained(topo, fm, cfg, areas)),
         None,
@@ -345,13 +344,11 @@ def measure(ex: Execution) -> StabilizationMetrics:
             disruption_count=None,
             changes_by_process={},
             max_settled_changes=None,
-            actions_to_contain=None,
         )
     segments = segment_disruptions(
         slice_execution(ex, first_strong), areas.strictly_near
     )
     changes = change_counts(ex, from_index=first_strong)
-    pre = change_counts(ex, from_index=0, to_index=first_strong)
     settlers = _watch_set(topo, fm, areas.strictly_near)
     return StabilizationMetrics(
         first_contained=first_contained,
@@ -359,7 +356,6 @@ def measure(ex: Execution) -> StabilizationMetrics:
         disruption_count=len(segments),
         changes_by_process=changes,
         max_settled_changes=max((changes[v] for v in settlers), default=0),
-        actions_to_contain=max((pre[v] for v in settlers), default=0),
     )
 
 
@@ -435,7 +431,7 @@ def violations(
     of ``ex``, computed when not given."""
     topo = ex.topo
     areas = areas or compute_containment_areas(topo, ex.fm)
-    metrics = metrics or measure(ex)
+    metrics = metrics or measure(ex, areas)
     out = [Violation("floor", step=i, bound=d) for d, i in floor_closure_violations(ex)]
     if metrics.first_contained is None:
         return out + [Violation("never_contained")]

@@ -160,7 +160,7 @@ def execute_run(rc: RunConfig):
         for k, v in asdict(rc).items()
         if v is not None and k not in artifact_keys
     }
-    metrics = measure(ex)
+    metrics = measure(ex, areas)
 
     kinds = {k for flag, ks in _CHECKS.items() if getattr(rc, flag) for k in ks}
     failures = (

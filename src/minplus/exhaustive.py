@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .adversary import Adversary, Oscillator, Silent
 from .analysis import violations
-from .graph import Topology, make_fault_model
+from .graph import Topology, compute_containment_areas, make_fault_model
 from .scenarios import all_zero_config, corrupted_config, random_config
 from .scheduler import (
     DISTRIBUTED,
@@ -123,6 +123,7 @@ def run_exhaustive(
             ("corrupted", corrupted_config(topo, fm)),
             ("random", random_config(topo, rng)),
         ]
+        areas = compute_containment_areas(topo, fm)
         adversaries: list[Adversary] = [Silent()]
         if fm.byzantine:
             adversaries.append(Oscillator(1))
@@ -139,7 +140,7 @@ def run_exhaustive(
                     StopCriterion(max_steps=step_budget(topo)),
                     seed=seed,
                 )
-                report.failures.extend(f"{where}: {v}" for v in violations(ex))
+                report.failures.extend(f"{where}: {v}" for v in violations(ex, areas=areas))
                 if not fm.byzantine:
                     _check_fault_free(report, where, ex)
     return report

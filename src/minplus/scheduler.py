@@ -201,6 +201,11 @@ def _drive(
         if v not in byzantine and is_enabled(topo, cfg, v)
     }
     last_slot_byz = True  # first central slot goes to a correct process
+    # Whether every enabled process acts.  Actions read the pre-step
+    # configuration, so the order of ``activated`` never matters.
+    every = daemon.kind == SYNCHRONOUS or (
+        daemon.kind == DISTRIBUTED and daemon.fairness == ROUND_ROBIN
+    )
     steps_done = 0
     pred_hit: int | None = None
     script_pos = 0
@@ -235,22 +240,21 @@ def _drive(
                 )
             if daemon.kind == CENTRAL and len(wanted) + (1 if writes else 0) > 1:
                 raise ContractViolation("central daemon: one process per step")
-            activated = sorted(wanted)
+            activated = list(wanted)
         elif idle:
             pass  # the adversary is not done but writes nothing this step
-        elif daemon.kind == SYNCHRONOUS:
-            activated = sorted(since)
+        elif every:
+            activated = list(since)
         elif daemon.kind == DISTRIBUTED:
             if since:
-                pool = sorted(since)
-                if daemon.fairness == ROUND_ROBIN:
-                    activated = pool
-                else:
-                    picked = {v for v in pool if rng.random() < 0.5}
-                    picked.update(v for v in pool if since[v] <= starved_since)
-                    if not picked:
-                        picked = {rng.choice(pool)}
-                    activated = sorted(picked)
+                # One coin per enabled process in id order, then the
+                # starved ones; a random one if that picks nothing.
+                pool = sorted(since) if len(since) > 1 else list(since)
+                activated = [
+                    v for v in pool if rng.random() < 0.5 or since[v] <= starved_since
+                ]
+                if not activated:
+                    activated = [rng.choice(pool)]
         else:  # CENTRAL
             starved = [v for v, t in since.items() if t <= starved_since]
             if writes and not starved and (not last_slot_byz or not since):
@@ -266,7 +270,7 @@ def _drive(
                 elif starved:
                     activated = [min(starved)]
                 else:
-                    activated = [rng.choice(sorted(since))]
+                    activated = [rng.choice(sorted(since) if len(since) > 1 else list(since))]
                 last_slot_byz = False
 
         new_states = list(cfg)
@@ -278,12 +282,10 @@ def _drive(
             new_states[b] = state
         new_cfg: Config = tuple(new_states)
 
-        ex.steps.append(
-            StepRecord(
-                activated=frozenset(activated),
-                byz_writes=tuple(sorted(applied.items())),
-            )
-        )
+        byz_writes = tuple(applied.items())
+        if len(byz_writes) > 1:
+            byz_writes = tuple(sorted(byz_writes))
+        ex.steps.append(StepRecord(activated=frozenset(activated), byz_writes=byz_writes))
         ex.configs.append(new_cfg)
         steps_done += 1
 
@@ -355,21 +357,13 @@ def verify_replay(ex: Execution) -> int | None:
 _TRACE_MAGIC = "minplus-trace 1"
 
 
-def _encode_states(entries) -> str:
-    parts = []
-    for v, state in entries:
-        p = -1 if state.prnt is None else state.prnt
-        parts.append(f"{v}:{p}:{state.level}")
-    return ",".join(parts)
+class _StateTokens(dict):
+    """``(v, state)`` -> its trace token "v:p:level", p = -1 for bottom."""
 
-
-def _decode_states(text: str) -> list[tuple[int, ProcState]]:
-    out = []
-    if text:
-        for part in text.split(","):
-            v, p, level = (int(tok) for tok in part.split(":"))
-            out.append((v, ProcState(None if p < 0 else p, int(level))))
-    return out
+    def __missing__(self, entry: tuple[int, ProcState]) -> str:
+        v, (p, level) = entry
+        token = self[entry] = f"{v}:{-1 if p is None else p}:{level}"
+        return token
 
 
 def trace_text(ex: Execution) -> str:
@@ -389,17 +383,22 @@ def trace_text(ex: Execution) -> str:
     lines.append("init-begin")
     lines.append(config_text(ex.configs[0]).rstrip("\n"))
     lines.append("init-end")
-    for i, rec in enumerate(ex.steps):
-        before, after = ex.configs[i], ex.configs[i + 1]
+    # A run repeats few distinct states and activation sets, so each one is
+    # encoded once.
+    token = _StateTokens().__getitem__
+    act_texts: dict[frozenset[int], str] = {}
+    configs = ex.configs
+    procs = range(len(configs[0]))
+    for i, rec in enumerate(ex.steps, 1):
+        before, after = configs[i - 1], configs[i]
         changed = [
-            (v, after[v]) for v in range(len(after)) if before[v] != after[v]
+            (v, after[v]) for v in procs if before[v] is not after[v] and before[v] != after[v]
         ]
-        lines.append(
-            f"step {i + 1}"
-            f" act={','.join(str(v) for v in sorted(rec.activated))}"
-            f" byz={_encode_states(rec.byz_writes)}"
-            f" chg={_encode_states(changed)}"
-        )
+        act = act_texts.get(rec.activated)
+        if act is None:
+            act = act_texts[rec.activated] = ",".join(map(str, sorted(rec.activated)))
+        byz = ",".join(map(token, rec.byz_writes))
+        lines.append(f"step {i} act={act} byz={byz} chg={','.join(map(token, changed))}")
     lines.append(f"end {len(ex.steps)}")
     return "\n".join(lines) + "\n"
 
@@ -419,6 +418,54 @@ def parse_trace(text: str) -> Execution:
         return _parse_trace_lines(lines)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed trace: {exc!r}") from exc
+
+
+class _StepDecoder:
+    """Decodes the fields of step lines, each distinct field text and each
+    distinct ``v:p:level`` token once, checking it as it goes: process ids
+    in 0..n-1, nonnegative levels, no process twice in one field.  Equal
+    tokens decode to one shared ``ProcState``."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._acts: dict[str, frozenset[int]] = {}
+        self._fields: dict[str, tuple[tuple[int, ProcState], ...]] = {}
+        self._tokens: dict[str, tuple[int, ProcState]] = {}
+
+    def _process(self, text: str) -> int:
+        v = int(text)
+        if not 0 <= v < self.n:
+            raise ValueError(f"process {v} out of range 0..{self.n - 1}")
+        return v
+
+    def activated(self, text: str) -> frozenset[int]:
+        acts = self._acts.get(text)
+        if acts is None:
+            ids = [self._process(tok) for tok in text.split(",")] if text else []
+            acts = frozenset(ids)
+            if len(acts) != len(ids):
+                raise ValueError(f"process activated twice in act={text}")
+            self._acts[text] = acts
+        return acts
+
+    def states(self, text: str) -> tuple[tuple[int, ProcState], ...]:
+        entries = self._fields.get(text)
+        if entries is None:
+            decoded = [self._token(tok) for tok in text.split(",")] if text else []
+            if len({v for v, _ in decoded}) != len(decoded):
+                raise ValueError(f"process written twice in {text!r}")
+            entries = self._fields[text] = tuple(sorted(decoded))
+        return entries
+
+    def _token(self, token: str) -> tuple[int, ProcState]:
+        entry = self._tokens.get(token)
+        if entry is None:
+            v, p, level = token.split(":")
+            v, p, level = self._process(v), int(p), int(level)
+            if level < 0:
+                raise ValueError(f"negative level in {token!r}")
+            entry = self._tokens[token] = (v, ProcState(None if p < 0 else p, level))
+        return entry
 
 
 def _parse_trace_lines(lines: list[str]) -> Execution:
@@ -462,32 +509,39 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
         configs=[init],
         meta_extra=meta.get("config", {}),
     )
-    ended = False
-    for line in lines[idx:]:
-        if line.startswith("end "):
-            if int(line.split()[1]) != len(ex.steps):
-                raise ValueError("trace step count mismatch")
-            ended = True
-            continue
-        if not line.startswith("step "):
-            raise ValueError(f"malformed trace line: {line!r}")
-        fields = dict(
-            part.split("=", 1) for part in line.split()[2:]
-        )
-        activated = frozenset(
-            int(tok) for tok in fields["act"].split(",") if tok
-        )
-        byz = tuple(sorted(_decode_states(fields["byz"])))
-        new_states = list(ex.configs[-1])
-        for v, state in _decode_states(fields["chg"]):
-            new_states[v] = state
-        ex.steps.append(StepRecord(activated=activated, byz_writes=byz))
-        ex.configs.append(tuple(new_states))
-    if not ended:
+    body = lines[idx:]
+    if not body or not body[-1].startswith("end "):
         raise ValueError("truncated trace: no end line")
-    if meta["steps"] != len(ex.steps):
+    if body[-1] != f"end {len(body) - 1}":
+        raise ValueError("trace step count mismatch")
+    decode = _StepDecoder(topo.process_count)
+    records: dict[tuple[str, str], StepRecord] = {}
+    configs, steps = ex.configs, ex.steps
+    cfg = init
+    for i, line in enumerate(body[:-1], 1):
+        head = f"step {i} act="
+        if not line.startswith(head):
+            raise ValueError(f"expected step {i}, got {line[:40]!r}")
+        fields = line[len(head) :].split(" ")
+        if len(fields) != 3 or fields[1][:4] != "byz=" or fields[2][:4] != "chg=":
+            raise ValueError(f"malformed trace line: {line!r}")
+        act, byz, chg = fields
+        rec = records.get((act, byz))
+        if rec is None:
+            rec = records[act, byz] = StepRecord(
+                activated=decode.activated(act), byz_writes=decode.states(byz[4:])
+            )
+        changed = decode.states(chg[4:])
+        if changed:
+            new_states = list(cfg)
+            for v, state in changed:
+                new_states[v] = state
+            cfg = tuple(new_states)
+        steps.append(rec)
+        configs.append(cfg)
+    if meta["steps"] != len(steps):
         raise ValueError(
-            f"trace header says {meta['steps']} steps, the trace has {len(ex.steps)}"
+            f"trace header says {meta['steps']} steps, the trace has {len(steps)}"
         )
     return ex
 

@@ -679,7 +679,6 @@ class TestViolations:
             disruption_count=5,
             changes_by_process={0: 0, 1: 4},
             max_settled_changes=4,
-            actions_to_contain=0,
         )
         assert violations(ex, inflated) == [
             Violation("disruptions", observed=5, bound=2),

@@ -410,6 +410,59 @@ class TestExitCodes:
         assert main(["replay", "--trace", str(trace)]) == 2
         assert "topology_sha256" in capsys.readouterr().err
 
+    @staticmethod
+    def oscillator_trace(tmp_path, step, old, new):
+        """A six-step trace on ``path n=4 byz=3`` with ``old`` replaced by
+        ``new`` in the line of the given step."""
+        trace = tmp_path / "o.trace"
+        main(
+            [
+                "run",
+                "--scenario",
+                "path n=4 byz=3",
+                "--adversary",
+                "oscillator:1",
+                "--max-steps",
+                "6",
+                "--trace",
+                str(trace),
+            ]
+        )
+        lines = trace.read_text().splitlines()
+        idx = lines.index(next(l for l in lines if l.startswith(f"step {step} ")))
+        assert old in lines[idx]
+        lines[idx] = lines[idx].replace(old, new, 1)
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return trace
+
+    @pytest.mark.parametrize(
+        "step, old, new",
+        [
+            (2, "chg=1:0:1", "chg=-3:0:1"),
+            (2, "chg=1:0:1", "chg=17:0:1"),
+            (2, "byz=3:2:8", "byz=4:2:8"),
+            (2, "act=1", "act=-1"),
+            (1, "act=2", "act=2,4"),
+        ],
+    )
+    def test_trace_with_a_process_id_out_of_range(self, tmp_path, capsys, step, old, new):
+        trace = self.oscillator_trace(tmp_path, step, old, new)
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert "out of range 0..3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "step, old, new", [(2, "byz=3:2:8", "byz=3:2:-8"), (1, "chg=2:3:1", "chg=2:3:-1")]
+    )
+    def test_trace_with_a_negative_level(self, tmp_path, capsys, step, old, new):
+        trace = self.oscillator_trace(tmp_path, step, old, new)
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert "negative level" in capsys.readouterr().err
+
+    def test_trace_with_steps_out_of_sequence(self, tmp_path, capsys):
+        trace = self.oscillator_trace(tmp_path, 1, "step 1 ", "step 99 ")
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert "expected step 1" in capsys.readouterr().err
+
     def test_negative_step_budget(self, capsys):
         code = main(["run", "--scenario", "path n=4", "--max-steps", "-5"])
         assert code == 2

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -411,6 +413,21 @@ class TestReplayAndTraces:
         with pytest.raises(ValueError, match="99 steps"):
             parse_trace("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("field", ["act=", "byz=", "chg="])
+    def test_a_process_twice_in_one_field_is_malformed(self, field):
+        lines = trace_text(self.make_run()).splitlines()
+        idx = next(i for i, l in enumerate(lines) if f" {field}" in l and f" {field} " not in l)
+        head, tail = lines[idx].split(f" {field}", 1)
+        first = tail.split(",")[0].split(" ")[0]
+        lines[idx] = f"{head} {field}{first},{tail}"
+        with pytest.raises(ValueError, match="twice"):
+            parse_trace("\n".join(lines) + "\n")
+
+    def test_the_end_line_is_the_last(self):
+        text = trace_text(self.make_run())
+        with pytest.raises(ValueError):
+            parse_trace(text + text.splitlines()[-1] + "\n")
+
     def test_embedded_topology_must_match_the_header_hash(self):
         text = trace_text(self.make_run())
         assert "\n2 3\n" in text
@@ -437,8 +454,8 @@ def test_step_budget_scales_with_size():
 
 
 @st.composite
-def engine_cases(draw):
-    n = draw(st.integers(1, 12))
+def engine_cases(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     chords = draw(
         st.sets(
@@ -545,3 +562,107 @@ def test_engine_agrees_with_the_reference_step(case):
     if ex.step_count < max_steps:
         assert not enabled_set(topo, fm, ex.final())
         assert adversary.done(topo, fm, ex.final())
+
+
+# ---------------------------------------------------------------------------
+# The trace codec under generated runs and one-token edits.
+# ---------------------------------------------------------------------------
+
+
+def run_case(case):
+    topo, fm, init, daemon, adversary, max_steps, seed = case
+    return run(topo, fm, init, daemon, adversary, StopCriterion(max_steps=max_steps), seed=seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(engine_cases(max_n=10))
+def test_trace_round_trip_reproduces_the_execution(case):
+    ex = run_case(case)
+    text = trace_text(ex)
+    back = parse_trace(text)
+    assert back.configs == ex.configs
+    assert [(s.activated, s.byz_writes) for s in back.steps] == [
+        (s.activated, s.byz_writes) for s in ex.steps
+    ]
+    assert trace_text(back) == text
+
+
+# A token is a run of characters between the trace's separators.
+_TRACE_TOKENS = re.compile(r"([\s,:=])")
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_cases(max_n=10), st.data())
+def test_edited_trace_loads_or_is_a_value_error(case, data):
+    text = trace_text(run_case(case))
+    parts = _TRACE_TOKENS.split(text)
+    # Half the edits fall in the step lines, which most traces are made of.
+    body = len(_TRACE_TOKENS.split(text[: text.index("\ninit-end\n")]))
+    where = data.draw(
+        st.integers(0, len(parts) - 1) | st.integers(body, len(parts) - 1), label="where"
+    )
+    parts[where] = data.draw(
+        st.one_of(
+            st.sampled_from(["", "-1", "0", "x", ",", ":", "=", " ", "\n", "step", "end", "act="]),
+            st.integers(-20, 40).map(str),
+            st.text(max_size=2),
+        ),
+        label="replacement",
+    )
+    try:
+        back = parse_trace("".join(parts))
+    except ValueError:
+        return
+    verify_replay(back)  # a loaded trace can always be checked
+
+
+# ---------------------------------------------------------------------------
+# Golden trace bytes: any rewrite of the engine or the trace codec that
+# changes the order of random draws, a daemon choice, an adversary write or
+# the trace format changes this digest.
+# ---------------------------------------------------------------------------
+
+GOLDEN_GRAPHS = [
+    # A hexagon with one chord, one Byzantine process.
+    (6, 0, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)], (3,)),
+    # A tree with two chords, rooted inside, two Byzantine processes.
+    (8, 2, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (5, 6), (6, 7), (0, 3), (3, 7)], (0, 6)),
+]
+GOLDEN_SHA256 = "76ef9b73474ee2b60395db9c54b29a87888ad35de92332d4764710d3c2b8a1d4"
+
+
+def golden_panel():
+    """(daemon, adversary, trace text) for every daemon, fairness policy and
+    built-in adversary on the two golden graphs."""
+    for n, root, edges, byz in GOLDEN_GRAPHS:
+        topo = Topology.from_edges(n, root, edges)
+        fm = make_fault_model(topo, byz)
+        init = tuple(
+            ProcState(topo.neighbors[v][-1] if v % 3 else None, (7 * v + 3) % (2 * n))
+            for v in topo.processes()
+        )
+        script = [(3, b, ProcState(None, 7)) for b in byz] + [
+            (9, byz[0], ProcState(topo.neighbors[byz[0]][0], 1))
+        ]
+        for daemon in ALL_DAEMONS:
+            for adversary in (
+                Silent(),
+                FakeRoot(),
+                MirrorRoot(),
+                Oscillator(2),
+                RandomWrites(5),
+                WellBehaved(),
+                Scripted(script),
+            ):
+                ex = run(topo, fm, init, daemon, adversary, StopCriterion(max_steps=80), seed=11)
+                yield daemon, adversary, trace_text(ex)
+
+
+def test_trace_bytes_match_the_golden_digest():
+    digest = hashlib.sha256()
+    runs = 0
+    for _, _, text in golden_panel():
+        digest.update(text.encode("utf-8"))
+        runs += 1
+    assert runs == 2 * 6 * 7
+    assert digest.hexdigest() == GOLDEN_SHA256
