@@ -246,15 +246,17 @@ def topology_text(topo: Topology, fm: FaultModel = NO_FAULTS) -> str:
 def parse_topology(text: str) -> tuple[Topology, FaultModel]:
     header = None
     edges: list[tuple[int, int]] = []
-    byz: list[int] = []
+    byz: list[int] | None = None
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("byz"):
-            byz = [int(tok) for tok in line.split()[1:]]
-            continue
         parts = line.split()
+        if parts[0] == "byz":
+            if byz is not None:
+                raise ValueError(f"second byz line: {raw!r}")
+            byz = [int(tok) for tok in parts[1:]]
+            continue
         if len(parts) != 2:
             raise ValueError(f"malformed topology line: {raw!r}")
         if header is None:
@@ -264,7 +266,7 @@ def parse_topology(text: str) -> tuple[Topology, FaultModel]:
     if header is None:
         raise ValueError("empty topology file")
     topo = Topology.from_edges(header[0], header[1], edges)
-    return topo, make_fault_model(topo, byz)
+    return topo, make_fault_model(topo, byz or ())
 
 
 def read_topology(path) -> tuple[Topology, FaultModel]:

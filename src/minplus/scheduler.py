@@ -209,6 +209,14 @@ def _drive(
     steps_done = 0
     pred_hit: int | None = None
     script_pos = 0
+    # A run soon cycles through a few configurations, so each distinct
+    # transition is computed once.  Equal configurations are one interned
+    # object, and every one stays alive in ``ex.configs`` for the whole run,
+    # so a configuration's id names it in the transition key.  A transition
+    # maps to the new configuration, its record, and the affected correct
+    # processes that are enabled (``on``) and not enabled (``off``) after it.
+    interned: dict[Config, Config] = {cfg: cfg}
+    transitions: dict[tuple, tuple] = {}
 
     while steps_done < stop.max_steps:
         cfg = ex.configs[-1]
@@ -273,19 +281,38 @@ def _drive(
                     activated = [rng.choice(sorted(since) if len(since) > 1 else list(since))]
                 last_slot_byz = False
 
-        new_states = list(cfg)
-        for v in activated:
-            new_states[v] = _action(topo, cfg, v)
-        for b, state in applied.items():
-            if state.level < 0:
-                raise ContractViolation(f"negative level written to {b}")
-            new_states[b] = state
-        new_cfg: Config = tuple(new_states)
-
         byz_writes = tuple(applied.items())
         if len(byz_writes) > 1:
             byz_writes = tuple(sorted(byz_writes))
-        ex.steps.append(StepRecord(activated=frozenset(activated), byz_writes=byz_writes))
+        key = (id(cfg), tuple(activated), byz_writes)
+        transition = transitions.get(key)
+        if transition is None:
+            new_states = list(cfg)
+            for v in activated:
+                new_states[v] = _action(topo, cfg, v)
+            for b, state in applied.items():
+                if state.level < 0:
+                    raise ContractViolation(f"negative level written to {b}")
+                new_states[b] = state
+            new_cfg = tuple(new_states)
+            new_cfg = interned.setdefault(new_cfg, new_cfg)
+            affected = set(activated)
+            affected.update(applied)
+            for v in list(affected):
+                affected.update(neighbors[v])
+            on: list[int] = []
+            off: list[int] = []
+            for v in affected:
+                if v not in byzantine:
+                    (on if is_enabled(topo, new_cfg, v) else off).append(v)
+            transition = transitions[key] = (
+                new_cfg,
+                StepRecord(activated=frozenset(activated), byz_writes=byz_writes),
+                tuple(on),
+                tuple(off),
+            )
+        new_cfg, rec, on, off = transition
+        ex.steps.append(rec)
         ex.configs.append(new_cfg)
         steps_done += 1
 
@@ -293,18 +320,11 @@ def _drive(
             slots += 1
         for v in activated:
             del since[v]  # re-stamped below if still enabled
-        affected = set(activated)
-        affected.update(applied)
-        for v in list(affected):
-            affected.update(neighbors[v])
-        for v in affected:
-            if v in byzantine:
-                continue
-            if is_enabled(topo, new_cfg, v):
-                if v not in since:
-                    since[v] = slots
-            else:
-                since.pop(v, None)
+        for v in off:
+            since.pop(v, None)
+        for v in on:
+            if v not in since:
+                since[v] = slots
         if daemon.fairness == SCRIPT:
             late = [v for v, t in since.items() if slots - t >= window]
             if late:
@@ -334,17 +354,24 @@ def verify_replay(ex: Execution) -> int | None:
 
     A step that cannot be applied (it activates a disabled or Byzantine
     process, or writes to a correct one) diverges too.  Returns None when
-    the whole trace is reproduced exactly.
+    the whole trace is reproduced exactly.  Each distinct transition, by the
+    identity of its configurations and record, is re-applied once, so a
+    tampered repeat (a new object) is still checked.
     """
+    configs = ex.configs
+    verified: set[tuple[int, int, int]] = set()
     for i, rec in enumerate(ex.steps):
+        before, after = configs[i], configs[i + 1]
+        key = (id(before), id(rec), id(after))
+        if key in verified:
+            continue
         try:
-            expected = step(
-                ex.topo, ex.fm, ex.configs[i], rec.activated, dict(rec.byz_writes)
-            )
+            expected = step(ex.topo, ex.fm, before, rec.activated, dict(rec.byz_writes))
         except ContractViolation:
             return i + 1
-        if expected != ex.configs[i + 1]:
+        if expected != after:
             return i + 1
+        verified.add(key)
     return None
 
 
@@ -408,10 +435,16 @@ def write_trace(ex: Execution, path) -> None:
 
 
 def parse_trace(text: str) -> Execution:
-    """Load a trace; any malformed or truncated input raises ValueError."""
-    lines = text.splitlines()
-    if not lines or lines[0] != _TRACE_MAGIC:
+    """Load a trace; any malformed or truncated input raises ValueError.
+
+    Lines end in ``\\n`` alone, as ``trace_text`` writes them (``read_trace``
+    reads other line endings as ``\\n``).
+    """
+    lines = text.split("\n")
+    if lines[0] != _TRACE_MAGIC:
         raise ValueError("not a minplus trace file")
+    if lines.pop():
+        raise ValueError("truncated trace: no newline at the end")
     if len(lines) < 2:
         raise ValueError("truncated trace: no header line")
     try:
@@ -422,9 +455,10 @@ def parse_trace(text: str) -> Execution:
 
 class _StepDecoder:
     """Decodes the fields of step lines, each distinct field text and each
-    distinct ``v:p:level`` token once, checking it as it goes: process ids
-    in 0..n-1, nonnegative levels, no process twice in one field.  Equal
-    tokens decode to one shared ``ProcState``."""
+    distinct ``v:p:level`` token once, checking it as it goes: every integer
+    written as ``trace_text`` writes it, process ids in 0..n-1 and in
+    increasing order within a field, parents -1 (bottom) or above,
+    nonnegative levels.  Equal tokens decode to one shared ``ProcState``."""
 
     def __init__(self, n: int):
         self.n = n
@@ -432,36 +466,49 @@ class _StepDecoder:
         self._fields: dict[str, tuple[tuple[int, ProcState], ...]] = {}
         self._tokens: dict[str, tuple[int, ProcState]] = {}
 
+    @staticmethod
+    def _int(text: str) -> int:
+        value = int(text)
+        if str(value) != text:
+            raise ValueError(f"integer {text!r} not in canonical form")
+        return value
+
     def _process(self, text: str) -> int:
-        v = int(text)
+        v = self._int(text)
         if not 0 <= v < self.n:
             raise ValueError(f"process {v} out of range 0..{self.n - 1}")
         return v
+
+    @staticmethod
+    def _increasing(ids, text: str) -> None:
+        for u, v in zip(ids, ids[1:]):
+            if u >= v:
+                how = "twice" if u == v else "out of order"
+                raise ValueError(f"process {v} {how} in {text!r}")
 
     def activated(self, text: str) -> frozenset[int]:
         acts = self._acts.get(text)
         if acts is None:
             ids = [self._process(tok) for tok in text.split(",")] if text else []
-            acts = frozenset(ids)
-            if len(acts) != len(ids):
-                raise ValueError(f"process activated twice in act={text}")
-            self._acts[text] = acts
+            self._increasing(ids, text)
+            acts = self._acts[text] = frozenset(ids)
         return acts
 
     def states(self, text: str) -> tuple[tuple[int, ProcState], ...]:
         entries = self._fields.get(text)
         if entries is None:
             decoded = [self._token(tok) for tok in text.split(",")] if text else []
-            if len({v for v, _ in decoded}) != len(decoded):
-                raise ValueError(f"process written twice in {text!r}")
-            entries = self._fields[text] = tuple(sorted(decoded))
+            self._increasing([v for v, _ in decoded], text)
+            entries = self._fields[text] = tuple(decoded)
         return entries
 
     def _token(self, token: str) -> tuple[int, ProcState]:
         entry = self._tokens.get(token)
         if entry is None:
             v, p, level = token.split(":")
-            v, p, level = self._process(v), int(p), int(level)
+            v, p, level = self._process(v), self._int(p), self._int(level)
+            if p < -1:
+                raise ValueError(f"parent below -1 in {token!r}")
             if level < 0:
                 raise ValueError(f"negative level in {token!r}")
             entry = self._tokens[token] = (v, ProcState(None if p < 0 else p, level))
@@ -518,6 +565,7 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
     records: dict[tuple[str, str], StepRecord] = {}
     configs, steps = ex.configs, ex.steps
     cfg = init
+    interned: dict[Config, Config] = {init: init}
     for i, line in enumerate(body[:-1], 1):
         head = f"step {i} act="
         if not line.startswith(head):
@@ -535,8 +583,11 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
         if changed:
             new_states = list(cfg)
             for v, state in changed:
+                if new_states[v] == state:
+                    raise ValueError(f"step {i}: chg= names process {v}, which does not change")
                 new_states[v] = state
             cfg = tuple(new_states)
+            cfg = interned.setdefault(cfg, cfg)
         steps.append(rec)
         configs.append(cfg)
     if meta["steps"] != len(steps):

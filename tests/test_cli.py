@@ -33,6 +33,13 @@ class TestAreasCommand:
         assert out.read_text().startswith("6 0\n0 1\n0 2\n")
         assert "byz 5" in out.read_text()
 
+    @pytest.mark.parametrize("byz", ["byz2 1\n", "byz 1\nbyz 2\n"])
+    def test_topology_file_with_a_malformed_byz_line(self, tmp_path, capsys, byz):
+        topo_file = tmp_path / "path.topo"
+        topo_file.write_text("3 0\n0 1\n1 2\n" + byz, encoding="utf-8")
+        assert main(["areas", "--topology", str(topo_file)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_needs_exactly_one_source(self):
         assert main(["areas"]) == 2
         assert main(["areas", "--scenario", "hexagon", "--topology", "x"]) == 2
@@ -457,6 +464,54 @@ class TestExitCodes:
         trace = self.oscillator_trace(tmp_path, step, old, new)
         assert main(["replay", "--trace", str(trace)]) == 2
         assert "negative level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "step, old, new",
+        [
+            (1, "act=2", "act=+2"),
+            (1, "act=2", "act=02"),
+            (1, "act=2", "act=2_0"),
+            (1, "act=2", "act=\t2"),
+            (2, "byz=3:2:8", "byz=+3:2:8"),
+            (1, "chg=2:3:1", "chg=2:03:1"),
+            (1, "chg=2:3:1", "chg=2:3:+1"),
+            (2, "byz=3:2:8", "byz=3:2:0_8"),
+            (3, "byz=3:-1:0", "byz=3:-01:0"),
+        ],
+    )
+    def test_trace_with_an_integer_not_in_canonical_form(
+        self, tmp_path, capsys, step, old, new
+    ):
+        trace = self.oscillator_trace(tmp_path, step, old, new)
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert "not in canonical form" in capsys.readouterr().err
+
+    def test_trace_with_a_space_before_an_id(self, tmp_path, capsys):
+        trace = self.oscillator_trace(tmp_path, 1, "act=2", "act= 2")
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert "malformed trace line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "step, old, new", [(1, "chg=2:3:1", "chg=2:-5:1"), (2, "byz=3:2:8", "byz=3:-2:8")]
+    )
+    def test_trace_with_a_parent_below_minus_one(self, tmp_path, capsys, step, old, new):
+        trace = self.oscillator_trace(tmp_path, step, old, new)
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert "parent below -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "step, old, new, error",
+        [
+            (2, "chg=1:0:1,3:2:8", "chg=3:2:8,1:0:1", "out of order"),
+            (1, "chg=2:3:1", "chg=1:0:4,2:3:1", "does not change"),
+        ],
+    )
+    def test_trace_with_a_field_trace_text_never_writes(
+        self, tmp_path, capsys, step, old, new, error
+    ):
+        trace = self.oscillator_trace(tmp_path, step, old, new)
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert error in capsys.readouterr().err
 
     def test_trace_with_steps_out_of_sequence(self, tmp_path, capsys):
         trace = self.oscillator_trace(tmp_path, 1, "step 1 ", "step 99 ")

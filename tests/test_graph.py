@@ -230,3 +230,13 @@ class TestTopologyFile:
             parse_topology("")
         with pytest.raises(ValueError):
             parse_topology("2 0\n0 1 9")
+
+    def test_byz_line_is_a_line_whose_first_token_is_byz(self):
+        assert parse_topology("3 0\n0 1\n1 2\nbyz 1 2\n")[1].byzantine == {1, 2}
+        assert parse_topology("3 0\n0 1\n1 2\n  byz\n")[1].byzantine == frozenset()
+        with pytest.raises(ValueError):
+            parse_topology("3 0\n0 1\n1 2\nbyz2 1\n")
+
+    def test_a_second_byz_line_is_malformed(self):
+        with pytest.raises(ValueError, match="second byz line"):
+            parse_topology("3 0\n0 1\n1 2\nbyz 1\nbyz 2\n")

@@ -22,6 +22,7 @@ from minplus import (
     RandomWrites,
     Scripted,
     Silent,
+    StepRecord,
     StopCriterion,
     Topology,
     WellBehaved,
@@ -379,6 +380,28 @@ class TestReplayAndTraces:
         assert verify_replay(ex) in (k, k + 1)
         assert verify_replay(ex) is not None
 
+    def test_tampered_repeat_of_a_verified_transition_is_reported(self):
+        ex = self.make_run()
+        seen = set()
+        for j, rec in enumerate(ex.steps):
+            key = (id(ex.configs[j]), id(rec), id(ex.configs[j + 1]))
+            if key in seen:
+                break
+            seen.add(key)
+        else:
+            pytest.fail("the run repeats no transition")
+        assert verify_replay(ex) is None
+        original = ex.configs[j + 1]
+        ex.configs[j + 1] = tuple(original)  # an equal copy is checked and holds
+        assert verify_replay(ex) is None
+        states = list(original)
+        states[1] = ProcState(states[1].prnt, states[1].level + 1)
+        ex.configs[j + 1] = tuple(states)
+        assert verify_replay(ex) == j + 1
+        ex.configs[j + 1] = original
+        ex.steps[j] = StepRecord(rec.activated, rec.byz_writes + ((4, ProcState(None, 0)),))
+        assert verify_replay(ex) == j + 1
+
     def test_trace_file_round_trip(self, tmp_path):
         ex = self.make_run()
         path = tmp_path / "run.trace"
@@ -454,7 +477,7 @@ def test_step_budget_scales_with_size():
 
 
 @st.composite
-def engine_cases(draw, max_n=12):
+def engine_cases(draw, max_n=12, max_steps=60, adversaries=None):
     n = draw(st.integers(1, max_n))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     chords = draw(
@@ -479,7 +502,7 @@ def engine_cases(draw, max_n=12):
         )
         for _ in range(n)
     )
-    max_steps = draw(st.integers(0, 60))
+    max_steps = draw(st.integers(0, max_steps))
     script = [
         (draw(st.integers(1, max(max_steps, 1))), b, ProcState(None, draw(st.integers(0, 9))))
         for b in byz
@@ -488,13 +511,17 @@ def engine_cases(draw, max_n=12):
     adversary = draw(
         st.sampled_from(
             [
-                Silent(),
-                FakeRoot(),
-                MirrorRoot(),
-                Oscillator(draw(st.integers(1, 6))),
-                RandomWrites(draw(st.integers(0, 99))),
-                WellBehaved(),
-                Scripted(script),
+                a
+                for a in (
+                    Silent(),
+                    FakeRoot(),
+                    MirrorRoot(),
+                    Oscillator(draw(st.integers(1, 6))),
+                    RandomWrites(draw(st.integers(0, 99))),
+                    WellBehaved(),
+                    Scripted(script),
+                )
+                if adversaries is None or isinstance(a, adversaries)
             ]
         )
     )
@@ -522,12 +549,13 @@ def fairness_ages(ex):
         enabled = after
 
 
-@settings(max_examples=300, deadline=None)
-@given(engine_cases())
-def test_engine_agrees_with_the_reference_step(case):
+def check_against_the_reference_step(case):
+    """Run a case and check it step by step; return the execution."""
     topo, fm, init, daemon, adversary, max_steps, seed = case
     ex = run(topo, fm, init, daemon, adversary, StopCriterion(max_steps=max_steps), seed=seed)
     assert verify_replay(ex) is None
+    # Equal configurations are one object.
+    assert len(set(map(id, ex.configs))) == len(set(ex.configs))
     # The daemon's choice, redone from the recomputed ages with the same
     # random stream: coins and forced processes for the distributed daemon,
     # the oldest or a random process for the central one.
@@ -562,6 +590,28 @@ def test_engine_agrees_with_the_reference_step(case):
     if ex.step_count < max_steps:
         assert not enabled_set(topo, fm, ex.final())
         assert adversary.done(topo, fm, ex.final())
+    return ex
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_cases())
+def test_engine_agrees_with_the_reference_step(case):
+    check_against_the_reference_step(case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    engine_cases(
+        max_n=6, max_steps=1500, adversaries=(Oscillator, RandomWrites, Scripted)
+    )
+)
+def test_engine_agrees_with_the_reference_step_on_long_runs(case):
+    # Long runs on small graphs revisit configurations, so most of their
+    # steps are transitions the engine has made before in the same run.
+    ex = check_against_the_reference_step(case)
+    topo, fm, _, _, adversary, max_steps, _ = case
+    if isinstance(adversary, Oscillator) and fm.byzantine and max_steps >= 500:
+        assert len(set(map(id, ex.configs))) < len(ex.configs)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +635,8 @@ def test_trace_round_trip_reproduces_the_execution(case):
         (s.activated, s.byz_writes) for s in ex.steps
     ]
     assert trace_text(back) == text
+    # Equal configurations load as one object.
+    assert len(set(map(id, back.configs))) == len(set(back.configs))
 
 
 # A token is a run of characters between the trace's separators.
@@ -598,6 +650,8 @@ def test_edited_trace_loads_or_is_a_value_error(case, data):
     parts = _TRACE_TOKENS.split(text)
     # Half the edits fall in the step lines, which most traces are made of.
     body = len(_TRACE_TOKENS.split(text[: text.index("\ninit-end\n")]))
+    # The first part of the first step line (or of the end line).
+    steps = len(_TRACE_TOKENS.split(text[: text.index("\ninit-end\n") + 10])) - 1
     where = data.draw(
         st.integers(0, len(parts) - 1) | st.integers(body, len(parts) - 1), label="where"
     )
@@ -609,11 +663,15 @@ def test_edited_trace_loads_or_is_a_value_error(case, data):
         ),
         label="replacement",
     )
+    edited = "".join(parts)
     try:
-        back = parse_trace("".join(parts))
+        back = parse_trace(edited)
     except ValueError:
         return
     verify_replay(back)  # a loaded trace can always be checked
+    if where >= steps:
+        # The step lines hold only what trace_text writes.
+        assert trace_text(back) == edited
 
 
 # ---------------------------------------------------------------------------
