@@ -108,7 +108,6 @@ from .scheduler import (
     enabled_set,
     read_trace,
     run,
-    slice_execution,
     step_budget,
     trace_text,
     verify_replay,

@@ -14,7 +14,7 @@ import random
 from pathlib import Path
 
 from .errors import ContractViolation
-from .graph import FaultModel, Topology
+from .graph import FaultModel, Topology, canonical_int
 from .protocol import Config, ProcState, _action, is_enabled
 
 
@@ -216,7 +216,7 @@ def parse_script(text: str) -> list[tuple[int, int, ProcState]]:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"malformed script line: {raw!r}")
-        step_idx, proc, p, level = (int(tok) for tok in parts)
+        step_idx, proc, p, level = map(canonical_int, parts)
         if level < 0:
             raise ValueError(f"negative level in script line: {raw!r}")
         items.append((step_idx, proc, ProcState(None if p < 0 else p, level)))

@@ -17,7 +17,11 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice, pairwise
+from operator import attrgetter, ne
 from pathlib import Path
 
 from .errors import AnalysisError
@@ -29,7 +33,7 @@ from .graph import (
     compute_containment_areas,
 )
 from .protocol import Config, ProcState, _action, is_enabled
-from .scheduler import Execution, slice_execution, step_budget
+from .scheduler import Execution, _by_id, _Memo, step_budget
 
 
 def spec_holds(topo: Topology, fm: FaultModel, cfg: Config, v: int) -> bool:
@@ -193,18 +197,62 @@ def is_strongly_contained(
     )
 
 
-def _changes(
-    ex: Execution, watch, from_index: int = 0, to_index: int | None = None
-) -> list[tuple[int, int]]:
-    # (i, v) for each v in watch that changes in steps from_index+1..to_index.
-    configs = ex.configs
-    if to_index is None:
-        to_index = len(configs) - 1
-    out: list[tuple[int, int]] = []
-    for i in range(from_index + 1, to_index + 1):
-        before, after = configs[i - 1], configs[i]
-        out += [(i, v) for v in watch if before[v] != after[v]]
-    return out
+class _Index:
+    """One execution, read once per distinct configuration and transition.
+
+    Configurations are named by identity: the engine and ``parse_trace``
+    intern them, so a run's repeated configurations are one object.  An
+    execution that is not interned is read just as correctly, with fewer
+    repeats.  Per-step sequences are streamed through C-level passes, so no
+    Python loop runs once per step and nothing per step is kept.  The index
+    lives for one call only, since ``ex.configs`` may change between calls.
+    """
+
+    def __init__(self, ex: Execution):
+        self.ex = ex
+        self.configs = ex.configs
+        # Each distinct configuration under its id, in order of first
+        # appearance.
+        self.config = _by_id(ex.configs)
+        fm = ex.fm
+        self.correct = [v for v in ex.topo.processes() if fm.is_correct(v)]
+        self._watched: dict[tuple[int, ...], _Memo] = {}
+
+    def pairs(self, lo: int = 0, hi: int | None = None):
+        """The (before, after) id pair of each step after configuration
+        ``lo``, up to configuration ``hi``."""
+        return pairwise(map(id, islice(self.configs, lo, None if hi is None else hi + 1)))
+
+    def watched(self, watch: list[int]) -> _Memo:
+        """Distinct (before, after) id pair -> the processes of ``watch`` it
+        changes, in the order of ``watch``; one memo per watch set."""
+        key = tuple(watch)
+        memo = self._watched.get(key)
+        if memo is None:
+            config = self.config
+
+            def changed(pair: tuple[int, int]) -> tuple[int, ...]:
+                before, after = config[pair[0]], config[pair[1]]
+                return tuple(v for v in watch if before[v] != after[v])
+
+            memo = self._watched[key] = _Memo(changed)
+        return memo
+
+    def changing_steps(self, watch: list[int], lo: int = 0) -> list[int]:
+        """The steps after configuration ``lo`` that change a process of
+        ``watch``."""
+        return list(compress(count(lo + 1), map(self.watched(watch).__getitem__, self.pairs(lo))))
+
+    def first(self, holds, lo: int = 0) -> int | None:
+        """The first configuration index from ``lo`` whose configuration
+        satisfies ``holds``, asked once per distinct configuration."""
+        distinct = _by_id(self.configs[lo:]) if lo else self.config
+        for cfg in distinct.values():
+            if holds(cfg):
+                # Equal configurations satisfy ``holds`` alike, and each was
+                # asked in order of first appearance.
+                return self.configs.index(cfg, lo)
+        return None
 
 
 @dataclass(frozen=True)
@@ -228,48 +276,59 @@ def segment_disruptions(
     outside the area.  Changes before the first such boundary, or after the
     last one, belong to no (completed) disruption.
     """
-    topo, fm = ex.topo, ex.fm
+    return _segments(_Index(ex), area, budget)
+
+
+def _segments(
+    idx: _Index, area, budget: int | None = None, lo: int = 0
+) -> list[DisruptionSegment]:
+    # The disruptions of the execution's suffix from configuration lo, with
+    # indices into the whole execution.
+    topo, fm = idx.ex.topo, idx.ex.fm
     area = _check_area(topo, fm, area)
     watch = _watch_set(topo, fm, area)
-    total = len(ex.steps)
-    changes = sorted({i for i, _ in _changes(ex, watch)})
+    changes = idx.changing_steps(watch, lo)
     if not changes:
         return []
-
+    configs, watched = idx.configs, idx.watched(watch)
+    total = len(idx.ex.steps)
+    # Whether a configuration is a boundary, by identity.
     memo: dict[int, bool] = {}
 
     def anchor(i: int) -> bool:
-        if i in memo:
-            return memo[i]
-        cfg = ex.configs[i]
-        ok = False
-        if not any(is_enabled(topo, cfg, v) for v in watch):
-            if is_area_legitimate(topo, fm, cfg, area):
-                stable = is_area_stable(topo, fm, cfg, area, budget)
-                if stable is None:
-                    raise AnalysisError(
-                        "area stability undecided at candidate boundary",
-                        step_index=i,
-                    )
-                ok = stable
-        memo[i] = ok
+        cfg = configs[i]
+        ok = memo.get(id(cfg))
+        if ok is None:
+            ok = False
+            if not any(is_enabled(topo, cfg, v) for v in watch):
+                if is_area_legitimate(topo, fm, cfg, area):
+                    stable = is_area_stable(topo, fm, cfg, area, budget)
+                    if stable is None:
+                        raise AnalysisError(
+                            "area stability undecided at candidate boundary",
+                            step_index=i - lo,
+                        )
+                    ok = stable
+            memo[id(cfg)] = ok
         return ok
 
     segments: list[DisruptionSegment] = []
+    # No boundary lies in lo..bottom - 1.
+    bottom = lo
     k = 0
     while k < len(changes):
         c = changes[k]
-        start = next((j for j in range(c - 1, -1, -1) if anchor(j)), None)
+        start = next((j for j in range(c - 1, bottom - 1, -1) if anchor(j)), None)
         if start is None:
+            bottom = c
             k += 1
             continue
         end = next((j for j in range(c, total + 1) if anchor(j)), None)
         if end is None:
             break
-        touched = frozenset(v for _, v in _changes(ex, watch, start, end))
-        segments.append(DisruptionSegment(start, end, touched))
-        while k < len(changes) and changes[k] <= end:
-            k += 1
+        touched = frozenset(v for pair in set(idx.pairs(start, end)) for v in watched[pair])
+        segments.append(DisruptionSegment(start - lo, end - lo, touched))
+        k = bisect_right(changes, end, k)
     return segments
 
 
@@ -277,9 +336,11 @@ def activation_counts(ex: Execution, from_index: int = 0) -> dict[int, int]:
     """Per-process activation counts over the steps after configuration
     ``from_index``."""
     counts = {v: 0 for v in ex.topo.processes() if ex.fm.is_correct(v)}
-    for rec in ex.steps[from_index:]:
-        for v in rec.activated:
-            counts[v] += 1
+    # Activation sets are small, so one C-level count over their members
+    # beats counting distinct records, whose ids cost more to hash.
+    activated = map(attrgetter("activated"), islice(ex.steps, from_index, None))
+    for v, times in Counter(chain.from_iterable(activated)).items():
+        counts[v] += times
     return counts
 
 
@@ -291,14 +352,17 @@ def change_counts(
 
     An activation that rewrites identical values does not count as a change.
     """
+    return _change_counts(_Index(ex), from_index, to_index)
+
+
+def _change_counts(idx: _Index, from_index: int, to_index: int | None) -> dict[int, int]:
     if to_index is None:
-        to_index = len(ex.steps)
-    counts = {v: 0 for v in ex.topo.processes() if ex.fm.is_correct(v)}
-    for i in range(from_index + 1, to_index + 1):
-        before, after = ex.configs[i - 1], ex.configs[i]
-        for v in counts:
-            if before[v] != after[v]:
-                counts[v] += 1
+        to_index = len(idx.ex.steps)
+    counts = dict.fromkeys(idx.correct, 0)
+    moved = idx.watched(idx.correct)
+    for pair, times in Counter(idx.pairs(from_index, to_index)).items():
+        for v in moved[pair]:
+            counts[v] += times
     return counts
 
 
@@ -323,19 +387,12 @@ def measure(ex: Execution, areas: ContainmentAreas | None = None) -> Stabilizati
     of ``ex``, computed when not given."""
     topo, fm = ex.topo, ex.fm
     areas = areas or compute_containment_areas(topo, fm)
-    first_contained = next(
-        (i for i, cfg in enumerate(ex.configs) if is_contained(topo, fm, cfg, areas)),
-        None,
-    )
+    idx = _Index(ex)
+    first_contained = idx.first(lambda cfg: is_contained(topo, fm, cfg, areas))
     first_strong = None
     if first_contained is not None:
-        first_strong = next(
-            (
-                i
-                for i in range(first_contained, len(ex.configs))
-                if is_strongly_contained(topo, fm, ex.configs[i], areas)
-            ),
-            None,
+        first_strong = idx.first(
+            lambda cfg: is_strongly_contained(topo, fm, cfg, areas), first_contained
         )
     if first_strong is None:
         return StabilizationMetrics(
@@ -345,10 +402,8 @@ def measure(ex: Execution, areas: ContainmentAreas | None = None) -> Stabilizati
             changes_by_process={},
             max_settled_changes=None,
         )
-    segments = segment_disruptions(
-        slice_execution(ex, first_strong), areas.strictly_near
-    )
-    changes = change_counts(ex, from_index=first_strong)
+    segments = _segments(idx, areas.strictly_near, lo=first_strong)
+    changes = _change_counts(idx, first_strong, None)
     settlers = _watch_set(topo, fm, areas.strictly_near)
     return StabilizationMetrics(
         first_contained=first_contained,
@@ -365,7 +420,13 @@ def containment_violations(
     """(step, process) pairs where a correct process outside the area changed
     state after configuration ``from_index``."""
     watch = _watch_set(ex.topo, ex.fm, _check_area(ex.topo, ex.fm, area))
-    return _changes(ex, watch, from_index)
+    idx = _Index(ex)
+    watched, configs = idx.watched(watch), ex.configs
+    return [
+        (i, v)
+        for i in idx.changing_steps(watch, from_index)
+        for v in watched[id(configs[i - 1]), id(configs[i])]
+    ]
 
 
 def floor_closure_violations(ex: Execution) -> list[tuple[int, int]]:
@@ -376,13 +437,20 @@ def floor_closure_violations(ex: Execution) -> list[tuple[int, int]]:
     Since the floor holds at d exactly when d is at most the configuration's
     height (see :func:`level_floor_holds`), it regresses at d the first time
     a height falls below d after some earlier height reached d; one pass
-    over the heights finds every such pair."""
+    over the heights finds every such pair.  Each distinct configuration's
+    height is computed once, and the pass visits only the configurations
+    whose height differs from the one before, since nothing else can
+    change it."""
+    distinct = _Index(ex).config
+    height = dict(zip(distinct, _floor_heights(ex.topo, ex.fm, list(distinct.values()))))
+    heights = list(map(height.__getitem__, map(id, ex.configs)))
     out = []
     # Depths at which the floor held at some earlier configuration and has
     # not regressed yet, ascending: 0..best except those already reported.
     pending: list[int] = []
     best = -1
-    for i, h in enumerate(_floor_heights(ex.topo, ex.fm, ex.configs)):
+    for i in compress(count(), map(ne, heights, chain([None], heights))):
+        h = heights[i]
         while pending and pending[-1] > h:
             out.append((pending.pop(), i))
         if h > best:

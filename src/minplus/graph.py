@@ -243,6 +243,17 @@ def topology_text(topo: Topology, fm: FaultModel = NO_FAULTS) -> str:
     return "\n".join(lines) + "\n"
 
 
+def canonical_int(text: str) -> int:
+    """An integer in the form ``str`` writes it: a minus sign only before a
+    negative value, and no plus sign, leading zero, underscore or
+    whitespace.  Every file ``minplus`` reads holds integers only in this
+    form, so what loads re-encodes to the same integers."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"integer {text!r} not in canonical form")
+    return value
+
+
 def parse_topology(text: str) -> tuple[Topology, FaultModel]:
     header = None
     edges: list[tuple[int, int]] = []
@@ -255,14 +266,14 @@ def parse_topology(text: str) -> tuple[Topology, FaultModel]:
         if parts[0] == "byz":
             if byz is not None:
                 raise ValueError(f"second byz line: {raw!r}")
-            byz = [int(tok) for tok in parts[1:]]
+            byz = [canonical_int(tok) for tok in parts[1:]]
             continue
         if len(parts) != 2:
             raise ValueError(f"malformed topology line: {raw!r}")
         if header is None:
-            header = (int(parts[0]), int(parts[1]))
+            header = (canonical_int(parts[0]), canonical_int(parts[1]))
         else:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((canonical_int(parts[0]), canonical_int(parts[1])))
     if header is None:
         raise ValueError("empty topology file")
     topo = Topology.from_edges(header[0], header[1], edges)

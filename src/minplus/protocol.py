@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ContractViolation
-from .graph import FaultModel, Topology
+from .graph import FaultModel, Topology, canonical_int
 
 
 class ProcState(NamedTuple):
@@ -191,7 +191,7 @@ def parse_config(text: str, n: int) -> Config:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"malformed configuration line: {raw!r}")
-        v, p, level = int(parts[0]), int(parts[1]), int(parts[2])
+        v, p, level = map(canonical_int, parts)
         if v in states:
             raise ValueError(f"duplicate state for process {v}")
         if level < 0:

@@ -72,13 +72,16 @@ def parse_scenario(text: str) -> ScenarioParams:
         if key == "p":
             key = "edge_prob"
         if key == "byz":
-            kwargs["byz_ids"] = tuple(int(x) for x in value.split(","))
+            key, value = "byz_ids", tuple(int(x) for x in value.split(","))
         elif key == "edge_prob":
-            kwargs[key] = float(value)
+            value = float(value)
         elif key in ("c", "n", "w", "h", "seed", "byz_count"):
-            kwargs[key] = int(value)
+            value = int(value)
         else:
             raise ValueError(f"unknown scenario key {key!r}")
+        if key in kwargs:
+            raise ValueError(f"scenario key {tok.partition('=')[0]!r} given twice")
+        kwargs[key] = value
     return ScenarioParams(**kwargs)
 
 

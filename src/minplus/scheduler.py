@@ -25,12 +25,20 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import count, pairwise, repeat, tee
 from pathlib import Path
 from typing import Callable
 
 from .adversary import Adversary, advise
 from .errors import ContractViolation, FairnessViolation
-from .graph import FaultModel, Topology, parse_topology, topology_sha256, topology_text
+from .graph import (
+    FaultModel,
+    Topology,
+    canonical_int,
+    parse_topology,
+    topology_sha256,
+    topology_text,
+)
 from .protocol import (
     Config,
     ProcState,
@@ -333,20 +341,21 @@ def _drive(
                 )
 
 
-def slice_execution(ex: Execution, from_index: int) -> Execution:
-    """View of an execution starting at configuration ``from_index``."""
-    if not 0 <= from_index < len(ex.configs):
-        raise ValueError(f"from_index {from_index} out of range")
-    return Execution(
-        topo=ex.topo,
-        fm=ex.fm,
-        daemon=ex.daemon,
-        seed=ex.seed,
-        adversary_desc=ex.adversary_desc,
-        configs=ex.configs[from_index:],
-        steps=ex.steps[from_index:],
-        meta_extra=ex.meta_extra,
-    )
+def _by_id(items) -> dict:
+    # Each distinct object of ``items`` under its id.
+    return dict(zip(map(id, items), items))
+
+
+class _Memo(dict):
+    """A dict that fills each missing key with ``fn(key)``, once."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def verify_replay(ex: Execution) -> int | None:
@@ -384,16 +393,8 @@ def verify_replay(ex: Execution) -> int | None:
 _TRACE_MAGIC = "minplus-trace 1"
 
 
-class _StateTokens(dict):
-    """``(v, state)`` -> its trace token "v:p:level", p = -1 for bottom."""
-
-    def __missing__(self, entry: tuple[int, ProcState]) -> str:
-        v, (p, level) = entry
-        token = self[entry] = f"{v}:{-1 if p is None else p}:{level}"
-        return token
-
-
-def trace_text(ex: Execution) -> str:
+def _trace_head(ex: Execution) -> list[str]:
+    # The lines before the first step line.
     meta = {
         "adversary": ex.adversary_desc,
         "daemon": ex.daemon.to_dict(),
@@ -403,29 +404,47 @@ def trace_text(ex: Execution) -> str:
     }
     if ex.meta_extra:
         meta["config"] = ex.meta_extra
-    lines = [_TRACE_MAGIC, json.dumps(meta, sort_keys=True)]
-    lines.append("topology-begin")
-    lines.append(topology_text(ex.topo, ex.fm).rstrip("\n"))
-    lines.append("topology-end")
-    lines.append("init-begin")
-    lines.append(config_text(ex.configs[0]).rstrip("\n"))
-    lines.append("init-end")
-    # A run repeats few distinct states and activation sets, so each one is
-    # encoded once.
-    token = _StateTokens().__getitem__
-    act_texts: dict[frozenset[int], str] = {}
-    configs = ex.configs
-    procs = range(len(configs[0]))
-    for i, rec in enumerate(ex.steps, 1):
-        before, after = configs[i - 1], configs[i]
-        changed = [
-            (v, after[v]) for v in procs if before[v] is not after[v] and before[v] != after[v]
-        ]
-        act = act_texts.get(rec.activated)
-        if act is None:
-            act = act_texts[rec.activated] = ",".join(map(str, sorted(rec.activated)))
-        byz = ",".join(map(token, rec.byz_writes))
-        lines.append(f"step {i} act={act} byz={byz} chg={','.join(map(token, changed))}")
+    return [
+        _TRACE_MAGIC,
+        json.dumps(meta, sort_keys=True),
+        "topology-begin",
+        topology_text(ex.topo, ex.fm).rstrip("\n"),
+        "topology-end",
+        "init-begin",
+        config_text(ex.configs[0]).rstrip("\n"),
+        "init-end",
+    ]
+
+
+def _state_token(entry: tuple[int, ProcState]) -> str:
+    # "v:p:level", p = -1 for bottom.
+    v, (p, level) = entry
+    return f"{v}:{-1 if p is None else p}:{level}"
+
+
+def trace_text(ex: Execution) -> str:
+    configs, records = _by_id(ex.configs), _by_id(ex.steps)
+    procs = range(len(ex.configs[0]))
+    token = _Memo(_state_token).__getitem__
+    act_text = _Memo(lambda acts: ",".join(map(str, sorted(acts))))
+
+    def step_text(key) -> str:
+        (before, after), rec = key
+        before, after, rec = configs[before], configs[after], records[rec]
+        changed = [(v, after[v]) for v in procs if before[v] != after[v]]
+        return (
+            f"act={act_text[rec.activated]} byz={','.join(map(token, rec.byz_writes))}"
+            f" chg={','.join(map(token, changed))}"
+        )
+
+    # A run repeats few distinct transitions, so each is encoded once and
+    # only the step number is written per step.
+    texts = _Memo(step_text)
+    lines = _trace_head(ex)
+    numbers = map(str, count(1))
+    # ``((id(before), id(after)), id(record))`` of every step.
+    keys = zip(pairwise(map(id, ex.configs)), map(id, ex.steps))
+    lines += map(" ".join, zip(repeat("step"), numbers, map(texts.__getitem__, keys)))
     lines.append(f"end {len(ex.steps)}")
     return "\n".join(lines) + "\n"
 
@@ -437,8 +456,9 @@ def write_trace(ex: Execution, path) -> None:
 def parse_trace(text: str) -> Execution:
     """Load a trace; any malformed or truncated input raises ValueError.
 
-    Lines end in ``\\n`` alone, as ``trace_text`` writes them (``read_trace``
-    reads other line endings as ``\\n``).
+    Only what ``trace_text`` could have written loads, byte for byte.  Lines
+    end in ``\\n`` alone (``read_trace`` reads other line endings as
+    ``\\n``).
     """
     lines = text.split("\n")
     if lines[0] != _TRACE_MAGIC:
@@ -454,27 +474,47 @@ def parse_trace(text: str) -> Execution:
 
 
 class _StepDecoder:
-    """Decodes the fields of step lines, each distinct field text and each
-    distinct ``v:p:level`` token once, checking it as it goes: every integer
-    written as ``trace_text`` writes it, process ids in 0..n-1 and in
-    increasing order within a field, parents -1 (bottom) or above,
-    nonnegative levels.  Equal tokens decode to one shared ``ProcState``."""
+    """Decodes the text after "step i " of step lines, each distinct field
+    text and each distinct ``v:p:level`` token once, checking it as it goes:
+    the fields in order, every integer written as ``trace_text`` writes it,
+    process ids in 0..n-1 and in increasing order within a field, parents
+    -1 (bottom) or above, nonnegative levels, and no ``chg=`` entry that
+    leaves its process unchanged.  Equal tokens decode to one shared
+    ``ProcState``, equal records to one ``StepRecord`` and equal
+    configurations to one interned tuple."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, init: Config):
+        self.n = len(init)
         self._acts: dict[str, frozenset[int]] = {}
         self._fields: dict[str, tuple[tuple[int, ProcState], ...]] = {}
         self._tokens: dict[str, tuple[int, ProcState]] = {}
+        self._records: dict[tuple[str, str], StepRecord] = {}
+        self._interned: dict[Config, Config] = {init: init}
 
-    @staticmethod
-    def _int(text: str) -> int:
-        value = int(text)
-        if str(value) != text:
-            raise ValueError(f"integer {text!r} not in canonical form")
-        return value
+    def step(self, i: int, cfg: Config, text: str) -> tuple[StepRecord, Config]:
+        """Step i's record and the configuration it leads to from cfg."""
+        fields = text.split(" ")
+        if len(fields) != 3 or [f[:4] for f in fields] != ["act=", "byz=", "chg="]:
+            raise ValueError(f"malformed trace line: {f'step {i} {text}'!r}")
+        act, byz, chg = fields
+        rec = self._records.get((act, byz))
+        if rec is None:
+            rec = self._records[act, byz] = StepRecord(
+                activated=self._activated(act[4:]), byz_writes=self._states(byz[4:])
+            )
+        changed = self._states(chg[4:])
+        if changed:
+            new_states = list(cfg)
+            for v, state in changed:
+                if new_states[v] == state:
+                    raise ValueError(f"step {i}: chg= names process {v}, which does not change")
+                new_states[v] = state
+            cfg = tuple(new_states)
+            cfg = self._interned.setdefault(cfg, cfg)
+        return rec, cfg
 
     def _process(self, text: str) -> int:
-        v = self._int(text)
+        v = canonical_int(text)
         if not 0 <= v < self.n:
             raise ValueError(f"process {v} out of range 0..{self.n - 1}")
         return v
@@ -486,7 +526,7 @@ class _StepDecoder:
                 how = "twice" if u == v else "out of order"
                 raise ValueError(f"process {v} {how} in {text!r}")
 
-    def activated(self, text: str) -> frozenset[int]:
+    def _activated(self, text: str) -> frozenset[int]:
         acts = self._acts.get(text)
         if acts is None:
             ids = [self._process(tok) for tok in text.split(",")] if text else []
@@ -494,7 +534,7 @@ class _StepDecoder:
             acts = self._acts[text] = frozenset(ids)
         return acts
 
-    def states(self, text: str) -> tuple[tuple[int, ProcState], ...]:
+    def _states(self, text: str) -> tuple[tuple[int, ProcState], ...]:
         entries = self._fields.get(text)
         if entries is None:
             decoded = [self._token(tok) for tok in text.split(",")] if text else []
@@ -506,7 +546,7 @@ class _StepDecoder:
         entry = self._tokens.get(token)
         if entry is None:
             v, p, level = token.split(":")
-            v, p, level = self._process(v), self._int(p), self._int(level)
+            v, p, level = self._process(v), canonical_int(p), canonical_int(level)
             if p < -1:
                 raise ValueError(f"parent below -1 in {token!r}")
             if level < 0:
@@ -561,38 +601,34 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
         raise ValueError("truncated trace: no end line")
     if body[-1] != f"end {len(body) - 1}":
         raise ValueError("trace step count mismatch")
-    decode = _StepDecoder(topo.process_count)
-    records: dict[tuple[str, str], StepRecord] = {}
+    body.pop()
+    # A run repeats few distinct transitions, so each distinct (configuration,
+    # step text) pair is decoded, applied and checked once.
+    decode = _StepDecoder(init).step
+    decoded: dict[tuple[int, str], tuple[StepRecord, Config]] = {}
     configs, steps = ex.configs, ex.steps
     cfg = init
-    interned: dict[Config, Config] = {init: init}
-    for i, line in enumerate(body[:-1], 1):
-        head = f"step {i} act="
-        if not line.startswith(head):
-            raise ValueError(f"expected step {i}, got {line[:40]!r}")
-        fields = line[len(head) :].split(" ")
-        if len(fields) != 3 or fields[1][:4] != "byz=" or fields[2][:4] != "chg=":
-            raise ValueError(f"malformed trace line: {line!r}")
-        act, byz, chg = fields
-        rec = records.get((act, byz))
-        if rec is None:
-            rec = records[act, byz] = StepRecord(
-                activated=decode.activated(act), byz_writes=decode.states(byz[4:])
-            )
-        changed = decode.states(chg[4:])
-        if changed:
-            new_states = list(cfg)
-            for v, state in changed:
-                if new_states[v] == state:
-                    raise ValueError(f"step {i}: chg= names process {v}, which does not change")
-                new_states[v] = state
-            cfg = tuple(new_states)
-            cfg = interned.setdefault(cfg, cfg)
+    # Line i must start "step i ": each head is formatted once, then both
+    # checked and stripped.
+    heads, strip = tee(map("step {} ".format, count(1)))
+    numbered = map(str.startswith, body, heads)
+    for i, ok, text in zip(count(1), numbered, map(str.removeprefix, body, strip)):
+        if not ok:
+            raise ValueError(f"expected step {i}, got {body[i - 1][:40]!r}")
+        key = (id(cfg), text)
+        found = decoded.get(key)
+        if found is None:
+            found = decoded[key] = decode(i, cfg, text)
+        rec, cfg = found
         steps.append(rec)
         configs.append(cfg)
     if meta["steps"] != len(steps):
         raise ValueError(
             f"trace header says {meta['steps']} steps, the trace has {len(steps)}"
+        )
+    if lines[:idx] != "\n".join(_trace_head(ex)).split("\n"):
+        raise ValueError(
+            "trace header, topology or initial configuration not as trace_text writes it"
         )
     return ex
 

@@ -121,3 +121,76 @@ def floor_regressions(n: int, edges, root: int, byz, level_seqs) -> list[tuple[i
                 break
             seen = seen or ok
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-step references for the passes over a stored execution: each reads
+# every step on its own, with no memo and no notion of repeated
+# configurations.  Configurations are sequences of (parent, level) pairs.
+# ---------------------------------------------------------------------------
+
+
+def first_index(configs, holds, lo: int = 0):
+    """The first index from ``lo`` whose configuration satisfies ``holds``."""
+    for i in range(lo, len(configs)):
+        if holds(configs[i]):
+            return i
+    return None
+
+
+def step_changes(configs, watch, lo: int = 0) -> list[tuple[int, int]]:
+    """(i, v) for each step i after configuration ``lo`` and each v of
+    ``watch``, in order, whose state differs between configurations i - 1
+    and i."""
+    return [
+        (i, v)
+        for i in range(lo + 1, len(configs))
+        for v in watch
+        if configs[i - 1][v] != configs[i][v]
+    ]
+
+
+def change_tally(configs, processes, lo: int = 0, hi=None) -> dict:
+    """How many of the steps lo+1..hi change each process."""
+    hi = len(configs) - 1 if hi is None else hi
+    return {
+        v: sum(configs[i - 1][v] != configs[i][v] for i in range(lo + 1, hi + 1))
+        for v in processes
+    }
+
+
+def activation_tally(activated_sets, processes, lo: int = 0) -> dict:
+    """How many of the activation sets from index ``lo`` hold each process."""
+    return {v: sum(v in acts for acts in activated_sets[lo:]) for v in processes}
+
+
+def disruptions(configs, watch, boundary) -> list[tuple[int, int, frozenset]]:
+    """(start, end, changed) for each pair of consecutive boundary
+    configurations with a change of ``watch`` between them: ``boundary`` is
+    asked of every configuration, and ``changed`` holds the processes of
+    ``watch`` that change in steps start+1..end."""
+    marks = [i for i, cfg in enumerate(configs) if boundary(cfg)]
+    out = []
+    for start, end in zip(marks, marks[1:]):
+        changed = frozenset(v for i, v in step_changes(configs[: end + 1], watch, start))
+        if changed:
+            out.append((start, end, changed))
+    return out
+
+
+def step_lines(configs, records) -> list[str]:
+    """The step lines of a trace, written from the format one step at a
+    time: ``records`` are (activated, byz_writes) pairs."""
+
+    def token(v, state):
+        p, level = state
+        return f"{v}:{-1 if p is None else p}:{level}"
+
+    lines = []
+    for i, (activated, writes) in enumerate(records, 1):
+        before, after = configs[i - 1], configs[i]
+        act = ",".join(str(v) for v in sorted(activated))
+        byz = ",".join(token(v, s) for v, s in writes)
+        chg = ",".join(token(v, after[v]) for v in range(len(after)) if after[v] != before[v])
+        lines.append(f"step {i} act={act} byz={byz} chg={chg}")
+    return lines

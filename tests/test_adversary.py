@@ -156,6 +156,11 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_script("1 5 3 -2\n")
 
+    @pytest.mark.parametrize("text", ["02 5 -1 0\n", "2 +5 -1 0\n", "2 5 -01 0\n", "2 5 -1 1_0\n"])
+    def test_parse_script_wants_canonical_integers(self, text):
+        with pytest.raises(ValueError, match="not in canonical form"):
+            parse_script(text)
+
     def test_make_adversary(self):
         assert make_adversary("oscillator:3").period == 3
         assert make_adversary("random:7").seed == 7

@@ -10,6 +10,7 @@ from minplus import (
     Execution,
     Oscillator,
     ProcState,
+    RandomWrites,
     Silent,
     StabilizationMetrics,
     StepRecord,
@@ -27,12 +28,14 @@ from minplus import (
     is_area_legitimate,
     is_area_stable,
     is_contained,
+    is_enabled,
     is_strongly_contained,
     level_floor_holds,
     make_fault_model,
     measure,
     metrics_csv,
     metrics_row,
+    radius_area,
     replay_strong_impossibility,
     replay_ta_strong_impossibility,
     run,
@@ -41,11 +44,21 @@ from minplus import (
     step,
     step_budget,
     to_dot,
+    trace_text,
     violations,
 )
 from minplus.scenarios import corrupted_config, random_config
 
-from _oracles import floor_regressions, random_connected_edges
+from _oracles import (
+    activation_tally,
+    change_tally,
+    disruptions,
+    first_index,
+    floor_regressions,
+    random_connected_edges,
+    step_changes,
+    step_lines,
+)
 
 BOT = None
 
@@ -684,6 +697,170 @@ class TestViolations:
             Violation("disruptions", observed=5, bound=2),
             Violation("changes", process=1, observed=4, bound=1),
         ]
+
+
+# ---------------------------------------------------------------------------
+# The passes read each distinct configuration and transition once.  Results
+# must not depend on which equal configurations and records share an
+# object, and must match the per-step references in _oracles.
+# ---------------------------------------------------------------------------
+
+DAEMONS = [
+    DaemonPolicy(kind, fairness)
+    for kind in ("central", "distributed", "synchronous")
+    for fairness in ("round_robin", "random")
+]
+
+
+@st.composite
+def small_runs(draw):
+    n = draw(st.integers(2, 7))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    topo = Topology.from_edges(n, 0, random_connected_edges(rng, n))
+    byz = draw(st.sets(st.integers(1, n - 1), max_size=2))
+    fm = make_fault_model(topo, byz)
+    init = draw(st.sampled_from([corrupted_config(topo, fm), random_config(topo, rng)]))
+    adversary = draw(
+        st.sampled_from(
+            [Silent(), Oscillator(draw(st.integers(1, 4))), RandomWrites(draw(st.integers(0, 99)))]
+        )
+    )
+    daemon = draw(st.sampled_from(DAEMONS))
+    stop = StopCriterion(max_steps=draw(st.integers(0, 400)))
+    return run(topo, fm, init, daemon, adversary, stop, seed=draw(st.integers(0, 999)))
+
+
+def deinterned(ex):
+    """A copy of ``ex`` in which every configuration and every record is a
+    fresh object, equal to the original."""
+    return Execution(
+        ex.topo,
+        ex.fm,
+        ex.daemon,
+        ex.seed,
+        ex.adversary_desc,
+        configs=[tuple(list(cfg)) for cfg in ex.configs],
+        steps=[
+            StepRecord(frozenset(set(rec.activated)), tuple(list(rec.byz_writes)))
+            for rec in ex.steps
+        ],
+        meta_extra=ex.meta_extra,
+    )
+
+
+def named_areas(areas):
+    return {"near": areas.near, "strictly_near": areas.strictly_near, "none": frozenset()}
+
+
+def _disruptions_or_error(ex, area):
+    try:
+        return segment_disruptions(ex, area)
+    except AnalysisError as err:
+        return str(err)
+
+
+def every_pass(ex, areas):
+    """The result of every public pass over ``ex``, from the configuration
+    indices where they can differ."""
+    m = measure(ex, areas)
+    out = {
+        "measure": m,
+        "floor": floor_closure_violations(ex),
+        "violations": violations(ex, m, areas),
+        "trace": trace_text(ex),
+    }
+    end = len(ex.steps)
+    for lo in {0, end // 2, end, m.first_contained or 0, m.first_strongly_contained or 0}:
+        for name, area in named_areas(areas).items():
+            out["moves", lo, name] = containment_violations(ex, lo, area)
+        out["acts", lo] = activation_counts(ex, lo)
+        out["changes", lo] = change_counts(ex, lo)
+        out["changes", lo, "window"] = change_counts(ex, lo, max(lo, end - 2))
+    for name, area in named_areas(areas).items():
+        out["disruptions", name] = _disruptions_or_error(ex, area)
+    return out
+
+
+def check_against_the_references(ex, areas, results):
+    topo, fm, configs = ex.topo, ex.fm, ex.configs
+    correct = [v for v in topo.processes() if fm.is_correct(v)]
+
+    def watch(area):
+        return [v for v in correct if v not in area]
+
+    def boundary(area):
+        def holds(cfg):
+            return (
+                not any(is_enabled(topo, cfg, v) for v in watch(area))
+                and is_area_legitimate(topo, fm, cfg, area)
+                and is_area_stable(topo, fm, cfg, area) is True
+            )
+
+        return holds
+
+    m = results["measure"]
+    first = first_index(configs, lambda cfg: is_contained(topo, fm, cfg, areas))
+    assert m.first_contained == first
+    if first is not None:
+        strong = first_index(
+            configs, lambda cfg: is_strongly_contained(topo, fm, cfg, areas), first
+        )
+        assert m.first_strongly_contained == strong
+        if strong is not None:
+            assert m.changes_by_process == change_tally(configs, correct, strong)
+            settled = areas.strictly_near
+            found = disruptions(configs[strong:], watch(settled), boundary(settled))
+            assert m.disruption_count == len(found)
+    levels = [[state.level for state in cfg] for cfg in configs]
+    assert results["floor"] == floor_regressions(
+        topo.process_count, topo.edges, topo.root, fm.byzantine, levels
+    )
+    end = len(ex.steps)
+    activated = [rec.activated for rec in ex.steps]
+    for key, got in results.items():
+        if key[0] == "moves":
+            _, lo, name = key
+            assert got == step_changes(configs, watch(named_areas(areas)[name]), lo)
+        elif key[0] == "acts":
+            assert got == activation_tally(activated, correct, key[1])
+        elif key[0] == "changes":
+            lo = key[1]
+            hi = max(lo, end - 2) if len(key) == 3 else None
+            assert got == change_tally(configs, correct, lo, hi)
+        elif key[0] == "disruptions" and not isinstance(got, str):
+            area = named_areas(areas)[key[1]]
+            want = disruptions(configs, watch(area), boundary(area))
+            assert [(d.start_index, d.end_index, d.changed_processes) for d in got] == want
+    lines = results["trace"].splitlines()
+    records = [(rec.activated, rec.byz_writes) for rec in ex.steps]
+    assert lines[lines.index("init-end") + 1 : -1] == step_lines(configs, records)
+
+
+def check_distinct_transitions(ex, areas=None):
+    areas = areas or compute_containment_areas(ex.topo, ex.fm)
+    copy = deinterned(ex)
+    assert len(set(map(id, copy.configs))) == len(copy.configs)
+    results = every_pass(ex, areas)
+    assert every_pass(copy, areas) == results
+    check_against_the_references(ex, areas, results)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_runs())
+def test_passes_agree_on_interned_and_deinterned_runs(ex):
+    check_distinct_transitions(ex)
+
+
+@pytest.mark.parametrize("cycles", [1, 3])
+def test_passes_agree_on_interned_and_deinterned_replays(cycles):
+    line = replay_strong_impossibility(1, cycles)
+    check_distinct_transitions(line)
+    hexagon = replay_ta_strong_impossibility(frozenset({3}), cycles)
+    check_distinct_transitions(hexagon)
+    for ex, area in ((line, radius_area(line.topo, line.fm, 1)), (hexagon, {3})):
+        found = segment_disruptions(ex, area)
+        assert len(found) >= cycles
+        assert segment_disruptions(deinterned(ex), area) == found
 
 
 class TestExports:

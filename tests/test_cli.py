@@ -518,6 +518,25 @@ class TestExitCodes:
         assert main(["replay", "--trace", str(trace)]) == 2
         assert "expected step 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            ("\n2 3\n", "\n02 3\n", "not in canonical form"),
+            ("\n1 0 4\n", "\n1 0 04\n", "not in canonical form"),
+            ("\n1 0 4\n", "\n1 -5 4\n", "not as trace_text writes it"),
+            ('"seed": 0', '"seed":0', "not as trace_text writes it"),
+            ("topology-begin\n", "topology-begin\n# a comment\n", "not as trace_text writes it"),
+        ],
+    )
+    def test_trace_head_trace_text_never_writes(self, tmp_path, capsys, old, new, error):
+        # Each edit used to load and re-encode to other bytes.
+        trace = self.oscillator_trace(tmp_path, 1, "step 1 ", "step 1 ")
+        text = trace.read_text()
+        assert old in text
+        trace.write_text(text.replace(old, new, 1), encoding="utf-8")
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert error in capsys.readouterr().err
+
     def test_negative_step_budget(self, capsys):
         code = main(["run", "--scenario", "path n=4", "--max-steps", "-5"])
         assert code == 2

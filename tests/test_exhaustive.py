@@ -1,3 +1,6 @@
+import functools
+import hashlib
+
 from minplus.exhaustive import (
     connected_graph_catalog,
     enumerate_cases,
@@ -67,11 +70,31 @@ def test_labeled_mode_matches_catalog_mode_results():
 KNOWN_GAPS = ("strong containment never reached",)
 
 
+@functools.lru_cache(maxsize=None)
+def four_node_report():
+    return run_exhaustive(n_max=4, f_max=1, seed=0)
+
+
 def test_four_node_certification_surfaces_only_the_known_gaps():
     # Four nodes is where deceptive frozen Byzantine states first appear and
     # make strong containment unreachable (see test_containment_gaps);
     # everything else holds, the frontier activation bound included.
-    report = run_exhaustive(n_max=4, f_max=1, seed=0)
+    report = four_node_report()
     assert report.failures, "expected the known corner cases to be reported"
     for failure in report.failures:
         assert any(tag in failure for tag in KNOWN_GAPS), failure
+
+
+# SHA-256 of the newline-joined failure list of run_exhaustive(4, 1, seed=0):
+# one run, the complete graph K4 rooted at 0 with process 2 Byzantine, random
+# start, silent adversary, "strong containment never reached".
+FOUR_NODE_FAILURES_SHA256 = "e5dfb0ab28f4306c2ca76e9d29e9665288ba61b2959f9a0d9a51506b1faf7a38"
+
+
+def test_four_node_certification_verdicts_are_pinned():
+    # The exact verdict list, not just its kinds: a rewrite of the engine or
+    # of the analysis passes that moves, adds or drops a verdict fails here.
+    report = four_node_report()
+    assert (report.cases, report.runs, len(report.failures)) == (119, 615, 1)
+    digest = hashlib.sha256("\n".join(report.failures).encode("utf-8")).hexdigest()
+    assert digest == FOUR_NODE_FAILURES_SHA256, report.failures

@@ -237,6 +237,15 @@ class TestTopologyFile:
         with pytest.raises(ValueError):
             parse_topology("3 0\n0 1\n1 2\nbyz2 1\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["04 0\n0 1\n", "4 +0\n0 1\n", "4 0\n0 01\n", "4 0\n0 1_0\n", "4 0\n0 1\nbyz 03\n"],
+    )
+    def test_integers_not_in_canonical_form_are_malformed(self, text):
+        # "02 3" would load as "2 3" and re-encode to other bytes.
+        with pytest.raises(ValueError, match="not in canonical form"):
+            parse_topology(text)
+
     def test_a_second_byz_line_is_malformed(self):
         with pytest.raises(ValueError, match="second byz line"):
             parse_topology("3 0\n0 1\n1 2\nbyz 1\nbyz 2\n")

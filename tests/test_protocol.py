@@ -282,6 +282,13 @@ class TestNormalizeAndSerialize:
         assert "1 -1 0" not in text and text.splitlines()[0] == "0 -1 0"
         assert parse_config(text, 3) == cfg
 
+    @pytest.mark.parametrize(
+        "text", ["0 -1 0\n01 0 1\n", "0 -1 0\n1 +0 1\n", "0 -1 0\n1 0 1_0\n", "0 -01 0\n1 0 1\n"]
+    )
+    def test_parse_config_wants_canonical_integers(self, text):
+        with pytest.raises(ValueError, match="not in canonical form"):
+            parse_config(text, 2)
+
     def test_parse_config_wants_every_process(self):
         with pytest.raises(ValueError):
             parse_config("0 -1 0\n", 2)

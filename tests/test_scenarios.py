@@ -91,6 +91,14 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build(parse_scenario("path byz=2"))
 
+    @pytest.mark.parametrize(
+        "text", ["path n=4 n=5", "path n=4 byz=1 byz=2", "random n=5 p=0.3 edge_prob=0.4 seed=1"]
+    )
+    def test_parse_rejects_a_repeated_key(self, text):
+        # "path n=4 n=5 byz=1 byz=2" used to give n=5, byz_ids=(2,).
+        with pytest.raises(ValueError, match="given twice"):
+            parse_scenario(text)
+
     def test_initial_configs(self):
         topo, fm = line_topology(1)
         assert all(s == ProcState(None, 0) for s in all_zero_config(topo))
