@@ -6,6 +6,13 @@ including non-neighbors); nothing downstream may assume Byzantine state
 sanity.  Strategies are replayable: after ``reset`` they are a pure
 function of the trace prefix, so the same run always produces the same
 writes.
+
+A strategy may also say it is periodic.  ``phase(step_index)`` returns
+``None`` (the default: not periodic) or a hashable key such that ``writes``
+and ``done`` at that step depend only on the last configuration and the
+key, and two steps with equal keys have equal keys at the steps after them.
+The engine then repeats a cycle of steps in which no correct process is
+enabled without asking the strategy again.
 """
 
 from __future__ import annotations
@@ -34,6 +41,11 @@ class Adversary:
     def done(self, topo: Topology, fm: FaultModel, cfg: Config) -> bool:
         """Whether the strategy has nothing further it wants to write."""
         return True
+
+    def phase(self, step_index: int):
+        """This step's key under the periodic contract of the module
+        docstring, or ``None``."""
+        return None
 
     def describe(self) -> str:
         return self.name
@@ -115,6 +127,9 @@ class Oscillator(Adversary):
 
     def done(self, topo, fm, cfg):
         return not fm.byzantine
+
+    def phase(self, step_index):
+        return (step_index - 1) % (2 * self.period)
 
 
 class RandomWrites(Adversary):
@@ -217,6 +232,8 @@ def parse_script(text: str) -> list[tuple[int, int, ProcState]]:
         if len(parts) != 4:
             raise ValueError(f"malformed script line: {raw!r}")
         step_idx, proc, p, level = map(canonical_int, parts)
+        if p < -1:
+            raise ValueError(f"parent below -1 in script line: {raw!r}")
         if level < 0:
             raise ValueError(f"negative level in script line: {raw!r}")
         items.append((step_idx, proc, ProcState(None if p < 0 else p, level)))
@@ -238,9 +255,9 @@ def make_adversary(descriptor: str) -> Adversary:
     if kind == "mirror_root":
         return MirrorRoot()
     if kind == "oscillator":
-        return Oscillator(int(arg) if arg else 1)
+        return Oscillator(canonical_int(arg) if arg else 1)
     if kind == "random":
-        return RandomWrites(int(arg) if arg else 0)
+        return RandomWrites(canonical_int(arg) if arg else 0)
     if kind == "scripted":
         if not arg:
             raise ValueError("scripted adversary needs a file path")

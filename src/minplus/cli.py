@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .errors import GenerationError, ScenarioError
 from .exhaustive import run_exhaustive
-from .graph import make_fault_model, read_topology, write_topology
+from .graph import canonical_int, make_fault_model, read_topology, write_topology
 from .scenarios import (
     all_zero_config,
     build,
@@ -220,7 +220,7 @@ def _run_config_from_args(args) -> RunConfig:
         if value is not None:
             overrides[name] = value
     if getattr(args, "byz", None) is not None:
-        overrides["byz"] = tuple(int(tok) for tok in args.byz.split(","))
+        overrides["byz"] = tuple(map(canonical_int, args.byz.split(",")))
     return replace(rc, **overrides)
 
 

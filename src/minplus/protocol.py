@@ -194,6 +194,8 @@ def parse_config(text: str, n: int) -> Config:
         v, p, level = map(canonical_int, parts)
         if v in states:
             raise ValueError(f"duplicate state for process {v}")
+        if p < -1:
+            raise ValueError(f"parent below -1 for process {v}")
         if level < 0:
             raise ValueError(f"negative level for process {v}")
         states[v] = ProcState(None if p < 0 else p, level)

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 from .adversary import FakeRoot, MirrorRoot, WellBehaved
 from .errors import GenerationError, ScenarioError
-from .graph import FaultModel, Topology, make_fault_model
+from .graph import FaultModel, Topology, canonical_int, make_fault_model
 from .protocol import Config, ProcState
 from .scheduler import (
     CENTRAL,
     ROUND_ROBIN,
     DaemonPolicy,
     Execution,
+    StepRecord,
     StopCriterion,
     continue_run,
     run,
@@ -72,11 +73,11 @@ def parse_scenario(text: str) -> ScenarioParams:
         if key == "p":
             key = "edge_prob"
         if key == "byz":
-            key, value = "byz_ids", tuple(int(x) for x in value.split(","))
+            key, value = "byz_ids", tuple(map(canonical_int, value.split(",")))
         elif key == "edge_prob":
             value = float(value)
         elif key in ("c", "n", "w", "h", "seed", "byz_count"):
-            value = int(value)
+            value = canonical_int(value)
         else:
             raise ValueError(f"unknown scenario key {key!r}")
         if key in kwargs:
@@ -278,6 +279,13 @@ def _replay_cycles(
         _expect(ex, f"cycle{k}-reset", reset)
         continue_run(ex, _CENTRAL_RR, MirrorRoot(), quiesce, seed)
         _expect(ex, f"cycle{k}-return-two-sided", two_sided)
+    # Each continue_run call interns only its own configurations; interned
+    # across the calls, the passes that read the execution work once per
+    # distinct transition of the whole replay.
+    configs: dict[Config, Config] = {}
+    ex.configs[:] = [configs.setdefault(cfg, cfg) for cfg in ex.configs]
+    records: dict[StepRecord, StepRecord] = {}
+    ex.steps[:] = [records.setdefault(rec, rec) for rec in ex.steps]
     return ex
 
 

@@ -17,7 +17,10 @@ window of activation opportunities is forcibly activated (window = process
 count; for the central daemon the window counts the steps in which some
 correct process acted, since Byzantine-write steps are not opportunities).
 Runs are a deterministic function of their inputs and seed, and every
-stored transition can be replayed bit-exactly.
+stored transition can be replayed bit-exactly.  Once no correct process is
+enabled, a periodic adversary (``Adversary.phase``) that brings back an
+earlier configuration and phase closes a cycle, and the rest of the run
+repeats it without asking the adversary again.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import count, pairwise, repeat, tee
+from itertools import count, cycle, islice, pairwise, repeat, tee
 from pathlib import Path
 from typing import Callable
 
@@ -89,7 +92,9 @@ class StopCriterion:
     since nothing can happen after that.  While the adversary is not done, a
     step with nothing enabled and nothing written is recorded as an idle
     step.  With a ``predicate`` the run ends ``extra_after`` steps after the
-    first configuration satisfying it.
+    first configuration satisfying it.  The predicate must be a pure
+    function of the configuration: the engine asks it once per step until
+    it first holds, and never after.
     """
 
     max_steps: int
@@ -225,6 +230,14 @@ def _drive(
     # processes that are enabled (``on``) and not enabled (``off``) after it.
     interned: dict[Config, Config] = {cfg: cfg}
     transitions: dict[tuple, tuple] = {}
+    # While no correct process is enabled the daemon draws nothing and the
+    # central daemon gives every slot to the Byzantine write, so under a
+    # periodic adversary a step depends only on the configuration and the
+    # adversary's phase.  ``quiet`` maps those of each step of the current
+    # quiet stretch to its step number; the first repeat closes a cycle,
+    # which the rest of the run repeats.
+    quiet: dict[tuple, int] | None = {} if daemon.fairness != SCRIPT else None
+    base = len(ex.steps)
 
     while steps_done < stop.max_steps:
         cfg = ex.configs[-1]
@@ -233,6 +246,21 @@ def _drive(
                 pred_hit = steps_done
             if pred_hit is not None and steps_done - pred_hit >= stop.extra_after:
                 break
+        if since:
+            if quiet:
+                quiet.clear()
+        elif quiet is not None and (stop.predicate is None or pred_hit is not None):
+            phase = adversary.phase(len(ex.configs))
+            if phase is not None:
+                first = quiet.setdefault((id(cfg), phase), steps_done)
+                if first != steps_done:
+                    end = stop.max_steps
+                    if pred_hit is not None:
+                        end = min(end, pred_hit + stop.extra_after)
+                    left = end - steps_done
+                    ex.steps.extend(islice(cycle(ex.steps[base + first :]), left))
+                    ex.configs.extend(islice(cycle(ex.configs[base + first + 1 :]), left))
+                    return
         writes = advise(adversary, topo, fm, ex.configs, len(ex.configs))
         idle = not since and not writes
         if idle and adversary.done(topo, fm, cfg):

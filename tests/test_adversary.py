@@ -161,6 +161,16 @@ class TestParsing:
         with pytest.raises(ValueError, match="not in canonical form"):
             parse_script(text)
 
+    def test_parse_script_rejects_a_parent_below_bottom(self):
+        # "1 0 -5 2" used to write bottom.
+        with pytest.raises(ValueError, match="parent below -1"):
+            parse_script("1 0 -5 2\n")
+
+    @pytest.mark.parametrize("descriptor", ["oscillator:02", "random:07", "oscillator:+2"])
+    def test_make_adversary_wants_canonical_integers(self, descriptor):
+        with pytest.raises(ValueError, match="not in canonical form"):
+            make_adversary(descriptor)
+
     def test_make_adversary(self):
         assert make_adversary("oscillator:3").period == 3
         assert make_adversary("random:7").seed == 7

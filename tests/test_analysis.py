@@ -863,6 +863,22 @@ def test_passes_agree_on_interned_and_deinterned_replays(cycles):
         assert segment_disruptions(deinterned(ex), area) == found
 
 
+def test_replays_hold_each_distinct_configuration_once():
+    # The engine interns within one continue_run call; a replay interns its
+    # configurations and records across all of them, which changes no pass.
+    line = replay_strong_impossibility(2, 200)
+    hexagon = replay_ta_strong_impossibility(frozenset({3}), 200)
+    for ex, distinct, area in (
+        (line, 20, radius_area(line.topo, line.fm, 2)),
+        (hexagon, 12, {3}),
+    ):
+        assert len(set(map(id, ex.configs))) == len(set(ex.configs)) == distinct
+        assert len(set(map(id, ex.steps))) == len(set(ex.steps))
+        found = segment_disruptions(ex, area)
+        assert len(found) >= 200
+        assert segment_disruptions(deinterned(ex), area) == found
+
+
 class TestExports:
     def test_metrics_csv_is_deterministic(self):
         topo, fm = path_case(4, byz=[3])

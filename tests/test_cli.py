@@ -186,6 +186,10 @@ class TestRunCommand:
         fails = [line for line in out if line.startswith("FAIL")]
         assert fails == ["FAIL containment never reached"]
 
+    def test_byz_option_wants_canonical_integers(self, capsys):
+        assert main(["run", "--scenario", "path n=4", "--byz", "03"]) == 2
+        assert "not in canonical form" in capsys.readouterr().err
+
     def test_rejects_unknown_config_keys(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"scenario": "path n=4", "bogus": 1}', encoding="utf-8")
@@ -523,7 +527,7 @@ class TestExitCodes:
         [
             ("\n2 3\n", "\n02 3\n", "not in canonical form"),
             ("\n1 0 4\n", "\n1 0 04\n", "not in canonical form"),
-            ("\n1 0 4\n", "\n1 -5 4\n", "not as trace_text writes it"),
+            ("\n1 0 4\n", "\n1 -5 4\n", "parent below -1"),
             ('"seed": 0', '"seed":0', "not as trace_text writes it"),
             ("topology-begin\n", "topology-begin\n# a comment\n", "not as trace_text writes it"),
         ],

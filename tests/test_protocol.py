@@ -289,6 +289,11 @@ class TestNormalizeAndSerialize:
         with pytest.raises(ValueError, match="not in canonical form"):
             parse_config(text, 2)
 
+    def test_parse_config_rejects_a_parent_below_bottom(self):
+        # "0 -5 0" used to load as bottom.
+        with pytest.raises(ValueError, match="parent below -1"):
+            parse_config("0 -5 0\n", 1)
+
     def test_parse_config_wants_every_process(self):
         with pytest.raises(ValueError):
             parse_config("0 -1 0\n", 2)

@@ -99,6 +99,12 @@ class TestBuilders:
         with pytest.raises(ValueError, match="given twice"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("text", ["path n=04 byz=3", "path n=4 byz=03", "line c=+1", "grid w=2 h=2 seed=07"])
+    def test_parse_wants_canonical_integers(self, text):
+        # "path n=04 byz=03" used to load as n=4, byz_ids=(3,).
+        with pytest.raises(ValueError, match="not in canonical form"):
+            parse_scenario(text)
+
     def test_initial_configs(self):
         topo, fm = line_topology(1)
         assert all(s == ProcState(None, 0) for s in all_zero_config(topo))

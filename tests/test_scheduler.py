@@ -26,6 +26,7 @@ from minplus import (
     StopCriterion,
     Topology,
     WellBehaved,
+    continue_run,
     enabled_set,
     make_fault_model,
     read_trace,
@@ -35,7 +36,7 @@ from minplus import (
     verify_replay,
     write_trace,
 )
-from minplus.scheduler import RANDOM, parse_trace
+from minplus.scheduler import RANDOM, SCRIPT, parse_trace
 
 from _oracles import floyd_warshall, is_parent_spanning_tree
 
@@ -612,6 +613,137 @@ def test_engine_agrees_with_the_reference_step_on_long_runs(case):
     topo, fm, _, _, adversary, max_steps, _ = case
     if isinstance(adversary, Oscillator) and fm.byzantine and max_steps >= 500:
         assert len(set(map(id, ex.configs))) < len(ex.configs)
+
+
+# ---------------------------------------------------------------------------
+# The quiet-cycle fast-forward against the step-by-step path.
+# ---------------------------------------------------------------------------
+
+
+class StepwiseOscillator(Oscillator):
+    """An Oscillator that does not say it is periodic, so the engine asks it
+    at every step."""
+
+    def phase(self, step_index):
+        return None
+
+
+@st.composite
+def quiet_cases(draw):
+    n = draw(st.integers(2, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges += [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (u, v) not in edges and draw(st.booleans())
+    ]
+    byz = draw(st.lists(st.integers(1, n - 1), unique=True, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        # Every neighbour of a Byzantine process is also one of the root's,
+        # so its level stays 1 whatever the Byzantine one writes, and a run
+        # soon goes quiet.
+        near = {u for e in edges if set(e) & set(byz) for u in e} - set(byz) - {0}
+        edges += [(0, u) for u in sorted(near) if (0, u) not in edges]
+    topo = Topology.from_edges(n, 0, edges)
+    fm = make_fault_model(topo, byz)
+    init = tuple(
+        ProcState(
+            draw(st.one_of(st.none(), st.sampled_from(topo.neighbors[v]))),
+            draw(st.integers(0, n + 2)),
+        )
+        for v in range(n)
+    )
+    # A pure predicate of the configuration: none, "nothing correct is
+    # enabled" (it holds where the quiet stretches begin), or one level.
+    which = draw(st.sampled_from(["none", "quiet", "level"]))
+    v, level = draw(st.integers(0, n - 1)), draw(st.integers(0, 3))
+    predicate = {
+        "none": None,
+        "quiet": lambda cfg: not enabled_set(topo, fm, cfg),
+        "level": lambda cfg: cfg[v].level == level,
+    }[which]
+    stop = StopCriterion(
+        max_steps=draw(st.one_of(st.integers(0, 300), st.sampled_from([150, 300]))),
+        predicate=predicate,
+        extra_after=draw(st.integers(0, 80)),
+    )
+    # Steps made before the run under test, by the same daemon and
+    # adversary kind, so that it extends a non-empty execution.
+    before = draw(st.sampled_from([None, 0, 1, 7, 40]))
+    return (
+        topo,
+        fm,
+        init,
+        draw(st.sampled_from(ALL_DAEMONS)),
+        draw(st.integers(1, 3)),
+        stop,
+        before,
+        draw(st.integers(0, 99)),
+    )
+
+
+def quiet_run(case, kind):
+    topo, fm, init, daemon, period, stop, before, seed = case
+    if before is None:
+        return run(topo, fm, init, daemon, kind(period), stop, seed=seed)
+    ex = run(topo, fm, init, daemon, kind(period), StopCriterion(max_steps=before), seed)
+    return continue_run(ex, daemon, kind(period), stop, seed + 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(quiet_cases())
+def test_quiet_cycles_repeat_exactly_what_the_step_by_step_path_makes(case):
+    fast = quiet_run(case, Oscillator)
+    slow = quiet_run(case, StepwiseOscillator)
+    assert fast.steps == slow.steps
+    assert fast.configs == slow.configs
+
+
+@pytest.mark.parametrize("daemon", ALL_DAEMONS)
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_a_cycle_through_daemon_choices_is_not_repeated(daemon, period):
+    # Processes 2 and 5 follow the Byzantine process 3 down to level 1 and
+    # back up to level 2 every period, and in between nothing correct is
+    # enabled.  A random daemon draws new choices in each round, so equal
+    # quiet configurations one round apart do not close a cycle.
+    topo = Topology.from_edges(6, 0, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 3)])
+    fm = make_fault_model(topo, [3])
+    init = tuple(ProcState(None, 0) for _ in range(6))
+    stop = StopCriterion(max_steps=200)
+    for seed in range(4):
+        fast = run(topo, fm, init, daemon, Oscillator(period), stop, seed)
+        slow = run(topo, fm, init, daemon, StepwiseOscillator(period), stop, seed)
+        assert fast.steps == slow.steps and fast.configs == slow.configs
+
+
+def test_a_script_ends_a_quiet_periodic_run():
+    topo, fm = path_case(3, byz=[2])
+    tree = tuple(ProcState(None, 0) if v == 0 else ProcState(v - 1, v) for v in range(3))
+    daemon = DaemonPolicy(CENTRAL, SCRIPT, script=(frozenset(),) * 30)
+    ex = run(topo, fm, tree, daemon, Oscillator(1), StopCriterion(max_steps=100))
+    assert ex.step_count == 30
+
+
+def test_a_quiet_oscillating_tail_is_repeated_without_asking_the_adversary():
+    # Process 1 keeps level 1 under the root whatever its Byzantine
+    # neighbour 2 holds, so once the tree is built nothing correct moves.
+    topo, fm = path_case(3, byz=[2])
+    tree = tuple(ProcState(None, 0) if v == 0 else ProcState(v - 1, v) for v in range(3))
+    asked = []
+
+    class Counted(Oscillator):
+        def writes(self, topo, fm, configs, step_index):
+            asked.append(step_index)
+            return super().writes(topo, fm, configs, step_index)
+
+    stop = StopCriterion(max_steps=1000)
+    daemon = DaemonPolicy(DISTRIBUTED, RANDOM)
+    ex = run(topo, fm, tree, daemon, Counted(2), stop, seed=3)
+    assert len(asked) < 50
+    slow = run(topo, fm, tree, daemon, StepwiseOscillator(2), stop, seed=3)
+    assert ex.steps == slow.steps and ex.configs == slow.configs
+    assert ex.step_count == 1000 and verify_replay(ex) is None
 
 
 # ---------------------------------------------------------------------------
