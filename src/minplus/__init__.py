@@ -65,18 +65,14 @@ from .graph import (
     write_topology,
 )
 from .protocol import (
-    BOTTOM,
     Config,
     ProcState,
-    apply_rule,
-    choose,
     config_text,
     is_enabled,
     normalize_config,
     parse_config,
     read_config,
     step,
-    write_config,
 )
 from .scenarios import (
     HEXAGON,

@@ -32,8 +32,21 @@ from .graph import (
     anchor_distance,
     compute_containment_areas,
 )
-from .protocol import Config, ProcState, _action, is_enabled
-from .scheduler import Execution, _by_id, _Memo, step_budget
+from .adversary import Silent
+from .protocol import Config, ProcState, is_enabled
+from .protocol import _action  # unused here, bound for perfbench/tracing.py
+from .scheduler import (
+    ROUND_ROBIN,
+    SYNCHRONOUS,
+    DaemonPolicy,
+    Execution,
+    StopCriterion,
+    _by_id,
+    _Memo,
+    continue_run,
+    enabled_set,
+    step_budget,
+)
 
 
 def spec_holds(topo: Topology, fm: FaultModel, cfg: Config, v: int) -> bool:
@@ -130,33 +143,28 @@ def is_area_stable(
     """Whether no correct process outside the area can ever change its
     output variables while the Byzantine processes stay silent.
 
-    Operational check: no such process may be enabled in cfg, and running
-    the protocol synchronously with Byzantine states frozen must quiesce
-    without any of them changing state.  Returns None (indeterminate,
-    distinct from False) if the step budget runs out first.
+    Operational check: no such process may be enabled in cfg, and a
+    synchronous run from cfg with the Byzantine processes silent must
+    quiesce within ``budget`` steps (default ``step_budget``) without any of
+    them changing state.  Returns None (indeterminate, distinct from False)
+    if the budget runs out first.
     """
     area = _check_area(topo, fm, area)
-    watch = frozenset(_watch_set(topo, fm, area))
+    watch = _watch_set(topo, fm, area)
     if any(is_enabled(topo, cfg, v) for v in watch):
         return False
-    if budget is None:
-        budget = step_budget(topo)
-    correct = [v for v in topo.processes() if fm.is_correct(v)]
-    states = cfg
-    rounds = 0
-    while True:
-        acting = [v for v in correct if is_enabled(topo, states, v)]
-        if not acting:
-            return True
-        if rounds >= budget:
-            return None
-        new = list(states)
-        for v in acting:
-            new[v] = _action(topo, states, v)
-            if v in watch and new[v] != states[v]:
-                return False
-        states = tuple(new)
-        rounds += 1
+
+    def moved(now: Config) -> bool:
+        return any(now[v] != cfg[v] for v in watch)
+
+    stop = StopCriterion(step_budget(topo) if budget is None else budget, moved)
+    daemon = DaemonPolicy(SYNCHRONOUS, ROUND_ROBIN)
+    # From cfg as it is: ``run`` would first reset corrupt parents to bottom.
+    ex = Execution(topo, fm, daemon, 0, Silent.name, configs=[cfg])
+    final = continue_run(ex, daemon, Silent(), stop).final()
+    if moved(final):
+        return False
+    return None if enabled_set(topo, fm, final) else True
 
 
 def _contained(topo: Topology, fm: FaultModel, cfg: Config, area) -> bool:

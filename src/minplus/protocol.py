@@ -29,8 +29,6 @@ class ProcState(NamedTuple):
 
 Config = tuple[ProcState, ...]
 
-BOTTOM = None
-
 
 def is_enabled(topo: Topology, cfg: Config, v: int) -> bool:
     """Evaluate the guard of process v's rule in cfg.
@@ -58,44 +56,13 @@ def is_enabled(topo: Topology, cfg: Config, v: int) -> bool:
     return False
 
 
-def choose(topo: Topology, v: int, current_prnt: int | None, candidates) -> int:
-    """Round-robin parent selection among minimum-level neighbors.
-
-    Returns the first candidate strictly after ``current_prnt`` in v's fixed
-    neighbor order, wrapping around to the order-smallest candidate when no
-    candidate comes after.  Bottom (and any value that is not a neighbor)
-    sorts below every neighbor, so it yields the order-smallest candidate.
-    """
-    order = topo.neighbors[v]
-    cand = set(candidates)
-    if not cand:
-        raise ContractViolation(f"choose: empty candidate set for process {v}")
-    if not cand <= set(order):
-        raise ContractViolation(f"choose: candidates {cand} not all neighbors of {v}")
-    ordered = [q for q in order if q in cand]
-    if current_prnt in order:
-        pos = order.index(current_prnt)
-        for q in ordered:
-            if order.index(q) > pos:
-                return q
-    return ordered[0]
-
-
-def apply_rule(topo: Topology, cfg: Config, v: int) -> ProcState:
-    """The state v writes when activated, evaluated against cfg.
-
-    Raises ContractViolation when v's guard is false.
-    """
-    if not is_enabled(topo, cfg, v):
-        raise ContractViolation(f"apply_rule: process {v} is not enabled")
-    return _action(topo, cfg, v)
-
-
 def _action(topo: Topology, cfg: Config, v: int) -> ProcState:
-    # Guard already known to hold; used directly by the scheduler hot loop.
-    # One pass over the neighbor order gives what ``choose`` would pick from
-    # the minimum-level neighbors: ``first`` is the order-smallest of them,
-    # ``after`` the first one strictly after the current parent.
+    # The rule, for a process whose guard is known to hold.  The new parent
+    # is the first minimum-level neighbor strictly after the current parent
+    # in v's neighbor order, wrapping round to the order-smallest one (bottom
+    # or a non-neighbor sorts first).  One pass over the order finds both:
+    # ``first`` is the order-smallest, ``after`` the first one after the
+    # current parent.
     if v == topo.root:
         return ProcState(None, 0)
     cur = cfg[v].prnt
@@ -134,10 +101,19 @@ def step(
     for b in byz_writes:
         if b not in fm.byzantine:
             raise ContractViolation(f"Byzantine write targets correct process {b}")
-    new = list(cfg)
     for v in acts:
         if not is_enabled(topo, cfg, v):
             raise ContractViolation(f"step: process {v} is not enabled")
+    return _successor(topo, cfg, acts, byz_writes)
+
+
+def _successor(topo: Topology, cfg: Config, activated, byz_writes) -> Config:
+    # The one place a step is applied: each activated process takes its rule
+    # and each Byzantine write its state, all against cfg.  Only a written
+    # level is checked; ``step`` checks the rest of the contract, and the
+    # engine calls this directly on its own choices.
+    new = list(cfg)
+    for v in activated:
         new[v] = _action(topo, cfg, v)
     for b, state in byz_writes.items():
         if state.level < 0:
@@ -208,6 +184,3 @@ def read_config(path, topo: Topology, fm: FaultModel) -> Config:
     cfg = parse_config(Path(path).read_text(encoding="utf-8"), topo.process_count)
     return normalize_config(topo, fm, cfg)
 
-
-def write_config(cfg: Config, path) -> None:
-    Path(path).write_text(config_text(cfg), encoding="utf-8")

@@ -75,6 +75,9 @@ def parse_scenario(text: str) -> ScenarioParams:
         if key == "byz":
             key, value = "byz_ids", tuple(map(canonical_int, value.split(",")))
         elif key == "edge_prob":
+            # Only the form repr writes, so what loads re-encodes as given.
+            if repr(float(value)) != value:
+                raise ValueError(f"edge probability {value!r} not in canonical form")
             value = float(value)
         elif key in ("c", "n", "w", "h", "seed", "byz_count"):
             value = canonical_int(value)

@@ -45,7 +45,8 @@ from .graph import (
 from .protocol import (
     Config,
     ProcState,
-    _action,
+    _action,  # unused here, bound for perfbench/tracing.py
+    _successor,
     config_text,
     is_enabled,
     normalize_config,
@@ -323,14 +324,7 @@ def _drive(
         key = (id(cfg), tuple(activated), byz_writes)
         transition = transitions.get(key)
         if transition is None:
-            new_states = list(cfg)
-            for v in activated:
-                new_states[v] = _action(topo, cfg, v)
-            for b, state in applied.items():
-                if state.level < 0:
-                    raise ContractViolation(f"negative level written to {b}")
-                new_states[b] = state
-            new_cfg = tuple(new_states)
+            new_cfg = _successor(topo, cfg, activated, applied)
             new_cfg = interned.setdefault(new_cfg, new_cfg)
             affected = set(activated)
             affected.update(applied)
@@ -606,23 +600,40 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
     topo, fm = parse_topology("\n".join(sections["topology"]))
     if meta["topology_sha256"] != topology_sha256(topo, fm):
         raise ValueError("trace topology does not match the header's topology_sha256")
-    init = parse_config("\n".join(sections["init"]), topo.process_count)
+    n = topo.process_count
+    init = parse_config("\n".join(sections["init"]), n)
+    # JSON writes these back as it read them, so the check of the head's
+    # bytes below cannot catch a value of the wrong type.
+    seed, adversary_desc, extra = meta["seed"], meta["adversary"], meta.get("config", {})
     daemon_d = meta["daemon"]
+    script = daemon_d["script"] if "script" in daemon_d else None
+    if type(seed) is not int:
+        raise ValueError(f"trace header seed {seed!r} is not an integer")
+    if type(adversary_desc) is not str:
+        raise ValueError(f"trace header adversary {adversary_desc!r} is not a string")
+    if type(extra) is not dict:
+        raise ValueError(f"trace header config {extra!r} is not an object")
+    if script is not None and not (
+        type(script) is list
+        and all(
+            type(ids) is list and all(type(v) is int and 0 <= v < n for v in ids)
+            for ids in script
+        )
+    ):
+        raise ValueError(f"trace header daemon script {script!r} is not lists of process ids")
     daemon = DaemonPolicy(
         kind=daemon_d["kind"],
         fairness=daemon_d["fairness"],
-        script=tuple(frozenset(s) for s in daemon_d["script"])
-        if "script" in daemon_d
-        else None,
+        script=None if script is None else tuple(map(frozenset, script)),
     )
     ex = Execution(
         topo=topo,
         fm=fm,
         daemon=daemon,
-        seed=meta["seed"],
-        adversary_desc=meta["adversary"],
+        seed=seed,
+        adversary_desc=adversary_desc,
         configs=[init],
-        meta_extra=meta.get("config", {}),
+        meta_extra=extra,
     )
     body = lines[idx:]
     if not body or not body[-1].startswith("end "):

@@ -1,12 +1,15 @@
 """Independent oracles used to freeze expected values.
 
 Deliberately implemented with different algorithms than the package:
-distances by Floyd-Warshall instead of BFS, tree checking by union-find.
+distances by Floyd-Warshall instead of BFS, tree checking by union-find,
+the min+1 rule from its guard's definition and an explicit parent choice.
 """
 
 from __future__ import annotations
 
 import random
+
+from minplus import ContractViolation
 
 INF = 10**9
 
@@ -121,6 +124,85 @@ def floor_regressions(n: int, edges, root: int, byz, level_seqs) -> list[tuple[i
                 break
             seen = seen or ok
     return out
+
+
+# ---------------------------------------------------------------------------
+# The min+1 rule, written from its definition.  Configurations are sequences
+# of (parent, level) pairs; ``topo`` supplies the root and each process's
+# neighbor order.
+# ---------------------------------------------------------------------------
+
+
+def choose(topo, v: int, current_prnt, candidates) -> int:
+    """Round-robin parent selection among minimum-level neighbors.
+
+    Returns the first candidate strictly after ``current_prnt`` in v's fixed
+    neighbor order, wrapping around to the order-smallest candidate when no
+    candidate comes after.  Bottom (and any value that is not a neighbor)
+    sorts below every neighbor, so it yields the order-smallest candidate.
+    """
+    order = topo.neighbors[v]
+    cand = set(candidates)
+    if not cand:
+        raise ContractViolation(f"choose: empty candidate set for process {v}")
+    if not cand <= set(order):
+        raise ContractViolation(f"choose: candidates {cand} not all neighbors of {v}")
+    ordered = [q for q in order if q in cand]
+    if current_prnt in order:
+        pos = order.index(current_prnt)
+        for q in ordered:
+            if order.index(q) > pos:
+                return q
+    return ordered[0]
+
+
+def reference_guard(topo, cfg, v: int) -> bool:
+    """Whether v's rule is enabled: the root unless it holds (bottom, 0);
+    anyone else unless its parent is a neighbor of minimum level and its own
+    level is the parent's plus one."""
+    prnt, level = cfg[v]
+    if v == topo.root:
+        return prnt is not None or level != 0
+    order = topo.neighbors[v]
+    lo = min(cfg[q][1] for q in order)
+    return prnt not in order or level != cfg[prnt][1] + 1 or cfg[prnt][1] != lo
+
+
+def reference_rule(topo, cfg, v: int) -> tuple:
+    """The state v takes when activated: (bottom, 0) for the root; for anyone
+    else the minimum-level neighbor ``choose`` picks, at its level plus one."""
+    if v == topo.root:
+        return (None, 0)
+    order = topo.neighbors[v]
+    lo = min(cfg[q][1] for q in order)
+    return (choose(topo, v, cfg[v][0], {q for q in order if cfg[q][1] == lo}), lo + 1)
+
+
+def area_stable(topo, byzantine, cfg, area, budget: int):
+    """Area stability step by step: False if a correct process outside
+    ``area`` is enabled in cfg; else synchronous rounds of the reference rule
+    over the enabled correct processes, the Byzantine states frozen, until a
+    process outside the area changes (False), nothing is enabled (True), or
+    ``budget`` rounds have passed with something still enabled (None)."""
+    correct = [v for v in range(len(cfg)) if v not in byzantine]
+    watch = {v for v in correct if v not in area}
+    if any(reference_guard(topo, cfg, v) for v in watch):
+        return False
+    states = list(cfg)
+    rounds = 0
+    while True:
+        acting = [v for v in correct if reference_guard(topo, states, v)]
+        if not acting:
+            return True
+        if rounds >= budget:
+            return None
+        new = list(states)
+        for v in acting:
+            new[v] = reference_rule(topo, states, v)
+            if v in watch and new[v] != states[v]:
+                return False
+        states = new
+        rounds += 1
 
 
 # ---------------------------------------------------------------------------

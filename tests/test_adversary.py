@@ -10,13 +10,14 @@ from minplus import (
     Silent,
     WellBehaved,
     advise,
-    apply_rule,
     hexagon_topology,
     is_enabled,
     make_adversary,
     step,
 )
 from minplus.adversary import parse_script
+
+from _oracles import reference_rule
 
 BOT = None
 
@@ -107,7 +108,7 @@ class TestStrategies:
             ProcState(BOT, 0),
         )
         writes = advise(WellBehaved(), topo, fm, [tree], 1)
-        assert writes == {5: apply_rule(topo, tree, 5)}
+        assert writes == {5: reference_rule(topo, tree, 5)}
         assert not WellBehaved().done(topo, fm, tree)
         settled = tree[:5] + (ProcState(3, 3),)
         assert advise(WellBehaved(), topo, fm, [settled], 1) == {}

@@ -51,6 +51,7 @@ from minplus.scenarios import corrupted_config, random_config
 
 from _oracles import (
     activation_tally,
+    area_stable,
     change_tally,
     disruptions,
     first_index,
@@ -230,6 +231,50 @@ class TestAreaStable:
         assert is_area_stable(topo, fm, reset, {4}, budget=0) is None
         # With a real budget the frozen continuation reaches process 3.
         assert is_area_stable(topo, fm, reset, {4}) is False
+
+    def test_negative_budget_is_rejected(self):
+        # It used to return None, as if a budget of 0 had run out.
+        topo, fm = path_case(6, byz=[5])
+        reset = tuple(
+            ProcState(p, l)
+            for p, l in [(BOT, 0), (0, 1), (1, 2), (2, 3), (3, 4), (BOT, 0)]
+        )
+        with pytest.raises(ValueError, match="max_steps"):
+            is_area_stable(topo, fm, reset, {4}, budget=-1)
+
+
+def stability_case(rng):
+    """A small connected graph with random Byzantine processes, levels in
+    0..D+2, parents bottom or any process, an area and a budget."""
+    n = rng.randint(2, 7)
+    topo = Topology.from_edges(n, 0, random_connected_edges(rng, n))
+    fm = make_fault_model(topo, {v for v in range(1, n) if rng.random() < 0.3})
+    cfg = tuple(
+        ProcState(rng.choice([BOT, *range(n)]), rng.randint(0, topo.diameter + 2))
+        for _ in range(n)
+    )
+    keep = rng.random()
+    area = {v for v in topo.processes() if fm.is_correct(v) and rng.random() < keep}
+    return topo, fm, cfg, area, rng.choice([0, 1, 2, None])
+
+
+def check_area_stability(case):
+    topo, fm, cfg, area, budget = case
+    got = is_area_stable(topo, fm, cfg, area, budget)
+    rounds = step_budget(topo) if budget is None else budget
+    assert got is area_stable(topo, fm.byzantine, cfg, area, rounds)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_area_stability_agrees_with_the_reference(rng):
+    check_area_stability(stability_case(rng))
+
+
+def test_area_stability_cases_reach_every_outcome():
+    outcomes = {check_area_stability(stability_case(random.Random(seed))) for seed in range(200)}
+    assert outcomes == {True, False, None}
 
 
 class TestContainmentBasins:
@@ -793,7 +838,7 @@ def check_against_the_references(ex, areas, results):
             return (
                 not any(is_enabled(topo, cfg, v) for v in watch(area))
                 and is_area_legitimate(topo, fm, cfg, area)
-                and is_area_stable(topo, fm, cfg, area) is True
+                and area_stable(topo, fm.byzantine, cfg, area, step_budget(topo)) is True
             )
 
         return holds

@@ -190,6 +190,11 @@ class TestRunCommand:
         assert main(["run", "--scenario", "path n=4", "--byz", "03"]) == 2
         assert "not in canonical form" in capsys.readouterr().err
 
+    def test_edge_probability_wants_the_form_repr_writes(self, capsys):
+        # It used to run as p=0.3 and exit 0.
+        assert main(["run", "--scenario", "random n=5 p=0.30 seed=1"]) == 2
+        assert "not in canonical form" in capsys.readouterr().err
+
     def test_rejects_unknown_config_keys(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"scenario": "path n=4", "bogus": 1}', encoding="utf-8")
@@ -540,6 +545,30 @@ class TestExitCodes:
         trace.write_text(text.replace(old, new, 1), encoding="utf-8")
         assert main(["replay", "--trace", str(trace)]) == 2
         assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", "x"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("adversary", 5),
+            ("daemon", {"fairness": "script", "kind": "distributed", "script": [["a"], [1.5]]}),
+            ("daemon", {"fairness": "script", "kind": "distributed", "script": [[4]]}),
+            ("config", [1]),
+        ],
+    )
+    def test_trace_header_value_of_the_wrong_type(self, tmp_path, capsys, field, value):
+        # JSON writes each back as it read it, so each edit used to load,
+        # and replay said "ok".
+        trace = self.oscillator_trace(tmp_path, 1, "step 1 ", "step 1 ")
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[1])
+        header[field] = value
+        lines[1] = json.dumps(header, sort_keys=True)
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert f"trace header {field}" in capsys.readouterr().err
 
     def test_negative_step_budget(self, capsys):
         code = main(["run", "--scenario", "path n=4", "--max-steps", "-5"])

@@ -99,7 +99,7 @@ def scenario_texts(draw):
         "grid": [f"w={draw(st.integers(1, 8))}", f"h={draw(st.integers(1, 8))}"],
         "random": [
             f"n={draw(st.integers(1, 64))}",
-            f"p={draw(st.sampled_from(['0', '0.1', '0.4', '1']))}",
+            f"p={draw(st.sampled_from(['0.0', '0.1', '0.4', '1.0']))}",
             f"seed={draw(st.integers(0, 99))}",
         ],
     }[kind]

@@ -105,6 +105,28 @@ class TestBuilders:
         with pytest.raises(ValueError, match="not in canonical form"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "p, edge_prob",
+        [
+            ("0.3", 0.3),
+            ("0.0", 0.0),
+            ("1.0", 1.0),
+            ("0.30", None),
+            ("+.3", None),
+            ("3e-1", None),
+            ("0_3", None),
+            ("1", None),
+        ],
+    )
+    def test_parse_wants_the_edge_probability_as_repr_writes_it(self, p, edge_prob):
+        # Each rejected spelling used to load: "0_3" as 3.0, the rest as 0.3 or 1.0.
+        text = f"random n=5 p={p} seed=1"
+        if edge_prob is None:
+            with pytest.raises(ValueError, match="not in canonical form"):
+                parse_scenario(text)
+        else:
+            assert parse_scenario(text).edge_prob == edge_prob
+
     def test_initial_configs(self):
         topo, fm = line_topology(1)
         assert all(s == ProcState(None, 0) for s in all_zero_config(topo))

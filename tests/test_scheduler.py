@@ -38,7 +38,7 @@ from minplus import (
 )
 from minplus.scheduler import RANDOM, SCRIPT, parse_trace
 
-from _oracles import floyd_warshall, is_parent_spanning_tree
+from _oracles import floyd_warshall, is_parent_spanning_tree, reference_guard, reference_rule
 
 ALL_FAIR = [
     DaemonPolicy(CENTRAL, ROUND_ROBIN),
@@ -472,8 +472,9 @@ def test_step_budget_scales_with_size():
 
 
 # ---------------------------------------------------------------------------
-# Differential check of the engine's incremental bookkeeping (enabled set and
-# fairness stamps) against the reference step and a from-scratch enabled set.
+# Differential check of the engine against the reference rule and guard of
+# _oracles, and of its incremental bookkeeping (enabled set and fairness
+# stamps) against a from-scratch enabled set.
 # ---------------------------------------------------------------------------
 
 
@@ -557,6 +558,18 @@ def check_against_the_reference_step(case):
     assert verify_replay(ex) is None
     # Equal configurations are one object.
     assert len(set(map(id, ex.configs))) == len(set(ex.configs))
+    # Each distinct transition applies the rule to exactly the activated
+    # processes, each of them enabled, and the writes to the written ones.
+    transitions = zip(ex.configs, ex.steps, ex.configs[1:])
+    for before, rec, after in {tuple(map(id, t)): t for t in transitions}.values():
+        writes = dict(rec.byz_writes)
+        assert not rec.activated & fm.byzantine and writes.keys() <= fm.byzantine
+        for v in topo.processes():
+            if v in rec.activated:
+                assert reference_guard(topo, before, v)
+                assert after[v] == reference_rule(topo, before, v)
+            else:
+                assert after[v] == writes.get(v, before[v])
     # The daemon's choice, redone from the recomputed ages with the same
     # random stream: coins and forced processes for the distributed daemon,
     # the oldest or a random process for the central one.
