@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import ContractViolation
 from .graph import FaultModel, Topology, canonical_int
-from .protocol import Config, ProcState, _action, is_enabled
+from .protocol import Config, ProcState, _action, is_enabled, parse_state
 
 
 class Adversary:
@@ -231,12 +231,8 @@ def parse_script(text: str) -> list[tuple[int, int, ProcState]]:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"malformed script line: {raw!r}")
-        step_idx, proc, p, level = map(canonical_int, parts)
-        if p < -1:
-            raise ValueError(f"parent below -1 in script line: {raw!r}")
-        if level < 0:
-            raise ValueError(f"negative level in script line: {raw!r}")
-        items.append((step_idx, proc, ProcState(None if p < 0 else p, level)))
+        step_idx, proc = map(canonical_int, parts[:2])
+        items.append((step_idx, proc, parse_state(*parts[2:])))
     return items
 
 

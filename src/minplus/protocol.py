@@ -158,6 +158,17 @@ def config_text(cfg: Config) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_state(parent: str, level: str) -> ProcState:
+    # One process state as configuration, script and trace files write it:
+    # canonical integers, parent -1 for bottom, a nonnegative level.
+    p, lvl = canonical_int(parent), canonical_int(level)
+    if p < -1:
+        raise ValueError(f"parent below -1: {parent}")
+    if lvl < 0:
+        raise ValueError(f"negative level: {level}")
+    return ProcState(None if p < 0 else p, lvl)
+
+
 def parse_config(text: str, n: int) -> Config:
     states: dict[int, ProcState] = {}
     for raw in text.splitlines():
@@ -167,14 +178,10 @@ def parse_config(text: str, n: int) -> Config:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"malformed configuration line: {raw!r}")
-        v, p, level = map(canonical_int, parts)
+        v = canonical_int(parts[0])
         if v in states:
             raise ValueError(f"duplicate state for process {v}")
-        if p < -1:
-            raise ValueError(f"parent below -1 for process {v}")
-        if level < 0:
-            raise ValueError(f"negative level for process {v}")
-        states[v] = ProcState(None if p < 0 else p, level)
+        states[v] = parse_state(*parts[1:])
     if sorted(states) != list(range(n)):
         raise ValueError(f"expected exactly one state for each of {n} processes")
     return tuple(states[v] for v in range(n))

@@ -22,7 +22,6 @@ from .scheduler import (
     ROUND_ROBIN,
     DaemonPolicy,
     Execution,
-    StepRecord,
     StopCriterion,
     continue_run,
     run,
@@ -282,13 +281,9 @@ def _replay_cycles(
         _expect(ex, f"cycle{k}-reset", reset)
         continue_run(ex, _CENTRAL_RR, MirrorRoot(), quiesce, seed)
         _expect(ex, f"cycle{k}-return-two-sided", two_sided)
-    # Each continue_run call interns only its own configurations; interned
-    # across the calls, the passes that read the execution work once per
-    # distinct transition of the whole replay.
-    configs: dict[Config, Config] = {}
-    ex.configs[:] = [configs.setdefault(cfg, cfg) for cfg in ex.configs]
-    records: dict[StepRecord, StepRecord] = {}
-    ex.steps[:] = [records.setdefault(rec, rec) for rec in ex.steps]
+    # The engine interns across the continue_run calls, so each distinct
+    # configuration and record of the whole replay is one object, and the
+    # passes that read the execution work once per distinct transition.
     return ex
 
 

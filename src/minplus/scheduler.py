@@ -51,6 +51,7 @@ from .protocol import (
     is_enabled,
     normalize_config,
     parse_config,
+    parse_state,
     step,
 )
 
@@ -137,6 +138,12 @@ class Execution:
     configs: list[Config] = field(default_factory=list)
     steps: list[StepRecord] = field(default_factory=list)
     meta_extra: dict = field(default_factory=dict)
+    # Each configuration and record the engine or ``parse_trace`` made for
+    # this execution, as its one shared object, and the engine's transitions
+    # from those objects (see ``_drive``); both last across ``continue_run``
+    # calls.
+    _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _transitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def step_count(self) -> int:
@@ -202,13 +209,22 @@ def _drive(
     neighbors = topo.neighbors
     rng = random.Random(seed)
     window = topo.process_count
+    # A run soon cycles through a few configurations, so each distinct
+    # transition is computed once per execution.  Equal configurations are
+    # one interned object, which the table keeps alive, so a configuration's
+    # id names it in the transition key; the start is swapped for its twin
+    # for the same reason.  A transition maps to the new configuration, its
+    # record, and the affected correct processes that are enabled (``on``)
+    # and not enabled (``off``) after it.
+    interned, transitions = ex._interned, ex._transitions
+    cfg = ex.configs[-1]
+    cfg = ex.configs[-1] = interned.setdefault(cfg, cfg)
     # Fairness slots are the steps in which a correct process could act.
     # ``since`` holds exactly the enabled correct processes, each with the
     # slot count at which it last became enabled or acted, so its age (slots
     # enabled without acting) is ``slots - since[v]`` and a step updates only
     # the processes it touches.
     slots = 0
-    cfg = ex.configs[-1]
     since = {
         v: 0
         for v in topo.processes()
@@ -223,14 +239,6 @@ def _drive(
     steps_done = 0
     pred_hit: int | None = None
     script_pos = 0
-    # A run soon cycles through a few configurations, so each distinct
-    # transition is computed once.  Equal configurations are one interned
-    # object, and every one stays alive in ``ex.configs`` for the whole run,
-    # so a configuration's id names it in the transition key.  A transition
-    # maps to the new configuration, its record, and the affected correct
-    # processes that are enabled (``on``) and not enabled (``off``) after it.
-    interned: dict[Config, Config] = {cfg: cfg}
-    transitions: dict[tuple, tuple] = {}
     # While no correct process is enabled the daemon draws nothing and the
     # central daemon gives every slot to the Byzantine write, so under a
     # periodic adversary a step depends only on the configuration and the
@@ -335,12 +343,9 @@ def _drive(
             for v in affected:
                 if v not in byzantine:
                     (on if is_enabled(topo, new_cfg, v) else off).append(v)
-            transition = transitions[key] = (
-                new_cfg,
-                StepRecord(activated=frozenset(activated), byz_writes=byz_writes),
-                tuple(on),
-                tuple(off),
-            )
+            rec = StepRecord(activated=frozenset(activated), byz_writes=byz_writes)
+            rec = interned.setdefault(rec, rec)
+            transition = transitions[key] = (new_cfg, rec, tuple(on), tuple(off))
         new_cfg, rec, on, off = transition
         ex.steps.append(rec)
         ex.configs.append(new_cfg)
@@ -495,113 +500,39 @@ def parse_trace(text: str) -> Execution:
         raise ValueError(f"malformed trace: {exc!r}") from exc
 
 
-class _StepDecoder:
-    """Decodes the text after "step i " of step lines, each distinct field
-    text and each distinct ``v:p:level`` token once, checking it as it goes:
-    the fields in order, every integer written as ``trace_text`` writes it,
-    process ids in 0..n-1 and in increasing order within a field, parents
-    -1 (bottom) or above, nonnegative levels, and no ``chg=`` entry that
-    leaves its process unchanged.  Equal tokens decode to one shared
-    ``ProcState``, equal records to one ``StepRecord`` and equal
-    configurations to one interned tuple."""
+def _process_ids(tokens: list[str], n: int, text: str) -> list[int]:
+    # Process ids in 0..n-1 and in increasing order.
+    ids = list(map(canonical_int, tokens))
+    for v in ids:
+        if not 0 <= v < n:
+            raise ValueError(f"process {v} out of range 0..{n - 1}")
+    for u, v in pairwise(ids):
+        if u >= v:
+            how = "twice" if u == v else "out of order"
+            raise ValueError(f"process {v} {how} in {text!r}")
+    return ids
 
-    def __init__(self, init: Config):
-        self.n = len(init)
-        self._acts: dict[str, frozenset[int]] = {}
-        self._fields: dict[str, tuple[tuple[int, ProcState], ...]] = {}
-        self._tokens: dict[str, tuple[int, ProcState]] = {}
-        self._records: dict[tuple[str, str], StepRecord] = {}
-        self._interned: dict[Config, Config] = {init: init}
 
-    def step(self, i: int, cfg: Config, text: str) -> tuple[StepRecord, Config]:
-        """Step i's record and the configuration it leads to from cfg."""
-        fields = text.split(" ")
-        if len(fields) != 3 or [f[:4] for f in fields] != ["act=", "byz=", "chg="]:
-            raise ValueError(f"malformed trace line: {f'step {i} {text}'!r}")
-        act, byz, chg = fields
-        rec = self._records.get((act, byz))
-        if rec is None:
-            rec = self._records[act, byz] = StepRecord(
-                activated=self._activated(act[4:]), byz_writes=self._states(byz[4:])
-            )
-        changed = self._states(chg[4:])
-        if changed:
-            new_states = list(cfg)
-            for v, state in changed:
-                if new_states[v] == state:
-                    raise ValueError(f"step {i}: chg= names process {v}, which does not change")
-                new_states[v] = state
-            cfg = tuple(new_states)
-            cfg = self._interned.setdefault(cfg, cfg)
-        return rec, cfg
-
-    def _process(self, text: str) -> int:
-        v = canonical_int(text)
-        if not 0 <= v < self.n:
-            raise ValueError(f"process {v} out of range 0..{self.n - 1}")
-        return v
-
-    @staticmethod
-    def _increasing(ids, text: str) -> None:
-        for u, v in zip(ids, ids[1:]):
-            if u >= v:
-                how = "twice" if u == v else "out of order"
-                raise ValueError(f"process {v} {how} in {text!r}")
-
-    def _activated(self, text: str) -> frozenset[int]:
-        acts = self._acts.get(text)
-        if acts is None:
-            ids = [self._process(tok) for tok in text.split(",")] if text else []
-            self._increasing(ids, text)
-            acts = self._acts[text] = frozenset(ids)
-        return acts
-
-    def _states(self, text: str) -> tuple[tuple[int, ProcState], ...]:
-        entries = self._fields.get(text)
-        if entries is None:
-            decoded = [self._token(tok) for tok in text.split(",")] if text else []
-            self._increasing([v for v, _ in decoded], text)
-            entries = self._fields[text] = tuple(decoded)
-        return entries
-
-    def _token(self, token: str) -> tuple[int, ProcState]:
-        entry = self._tokens.get(token)
-        if entry is None:
-            v, p, level = token.split(":")
-            v, p, level = self._process(v), canonical_int(p), canonical_int(level)
-            if p < -1:
-                raise ValueError(f"parent below -1 in {token!r}")
-            if level < 0:
-                raise ValueError(f"negative level in {token!r}")
-            entry = self._tokens[token] = (v, ProcState(None if p < 0 else p, level))
-        return entry
+def _states(text: str, n: int) -> tuple[tuple[int, ProcState], ...]:
+    # The ``v:p:level`` entries of a ``byz=`` or ``chg=`` field.
+    entries = [token.split(":") for token in text.split(",")] if text else []
+    ids = _process_ids([v for v, _, _ in entries], n, text)
+    return tuple(zip(ids, (parse_state(p, level) for _, p, level in entries)))
 
 
 def _parse_trace_lines(lines: list[str]) -> Execution:
     meta = json.loads(lines[1])
-    sections: dict[str, list[str]] = {"topology": [], "init": []}
-    idx = 2
-    current = None
-    while idx < len(lines):
-        line = lines[idx]
-        if line.endswith("-begin"):
-            current = line[: -len("-begin")]
-            idx += 1
-            continue
-        if line.endswith("-end"):
-            current = None
-            idx += 1
-            continue
-        if current is not None:
-            sections[current].append(line)
-            idx += 1
-            continue
-        break
-    topo, fm = parse_topology("\n".join(sections["topology"]))
+    # The check of the head's bytes below rejects any other layout.
+    topology_end, init_end = lines.index("topology-end"), lines.index("init-end")
+    topo, fm = parse_topology("\n".join(lines[3:topology_end]))
     if meta["topology_sha256"] != topology_sha256(topo, fm):
         raise ValueError("trace topology does not match the header's topology_sha256")
     n = topo.process_count
-    init = parse_config("\n".join(sections["init"]), n)
+    init = parse_config("\n".join(lines[topology_end + 2 : init_end]), n)
+    if normalize_config(topo, fm, init) != init:
+        raise ValueError(
+            "trace initial configuration has a correct process whose parent is not a neighbor"
+        )
     # JSON writes these back as it read them, so the check of the head's
     # bytes below cannot catch a value of the wrong type.
     seed, adversary_desc, extra = meta["seed"], meta["adversary"], meta.get("config", {})
@@ -635,18 +566,33 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
         configs=[init],
         meta_extra=extra,
     )
-    body = lines[idx:]
+    body = lines[init_end + 1 :]
     if not body or not body[-1].startswith("end "):
         raise ValueError("truncated trace: no end line")
     if body[-1] != f"end {len(body) - 1}":
         raise ValueError("trace step count mismatch")
     body.pop()
-    # A run repeats few distinct transitions, so each distinct (configuration,
-    # step text) pair is decoded, applied and checked once.
-    decode = _StepDecoder(init).step
+    interned = ex._interned
+    cfg = interned[init] = init
+
+    def decode(text: str) -> tuple[StepRecord, tuple[tuple[int, ProcState], ...]]:
+        # The record and changed states of the text after "step i ", each
+        # integer written as ``trace_text`` writes it.  Equal records are
+        # one object.
+        fields = text.split(" ")
+        if len(fields) != 3 or [f[:4] for f in fields] != ["act=", "byz=", "chg="]:
+            raise ValueError(f"malformed trace line: {text!r}")
+        act, byz, chg = (f[4:] for f in fields)
+        acts = _process_ids(act.split(",") if act else [], n, act)
+        rec = StepRecord(activated=frozenset(acts), byz_writes=_states(byz, n))
+        return interned.setdefault(rec, rec), _states(chg, n)
+
+    # A run repeats few distinct transitions, so each distinct step text is
+    # decoded once, and each distinct (configuration, step text) pair applied
+    # and checked once.
+    texts = _Memo(decode)
     decoded: dict[tuple[int, str], tuple[StepRecord, Config]] = {}
     configs, steps = ex.configs, ex.steps
-    cfg = init
     # Line i must start "step i ": each head is formatted once, then both
     # checked and stripped.
     heads, strip = tee(map("step {} ".format, count(1)))
@@ -657,7 +603,17 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
         key = (id(cfg), text)
         found = decoded.get(key)
         if found is None:
-            found = decoded[key] = decode(i, cfg, text)
+            try:
+                rec, changed = texts[text]
+            except ValueError as exc:
+                raise ValueError(f"step {i}: {exc}") from None
+            new = list(cfg)
+            for v, state in changed:
+                if new[v] == state:
+                    raise ValueError(f"step {i}: chg= names process {v}, which does not change")
+                new[v] = state
+            new = tuple(new)
+            found = decoded[key] = (rec, interned.setdefault(new, new))
         rec, cfg = found
         steps.append(rec)
         configs.append(cfg)
@@ -665,7 +621,7 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
         raise ValueError(
             f"trace header says {meta['steps']} steps, the trace has {len(steps)}"
         )
-    if lines[:idx] != "\n".join(_trace_head(ex)).split("\n"):
+    if lines[: init_end + 1] != "\n".join(_trace_head(ex)).split("\n"):
         raise ValueError(
             "trace header, topology or initial configuration not as trace_text writes it"
         )

@@ -154,10 +154,12 @@ class TestParsing:
         assert items == [(2, 5, ProcState(BOT, 0)), (1, 5, ProcState(3, 9))]
         with pytest.raises(ValueError):
             parse_script("1 2 3\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative level"):
             parse_script("1 5 3 -2\n")
 
-    @pytest.mark.parametrize("text", ["02 5 -1 0\n", "2 +5 -1 0\n", "2 5 -01 0\n", "2 5 -1 1_0\n"])
+    @pytest.mark.parametrize(
+        "text", ["02 5 -1 0\n", "2 +5 -1 0\n", "2 5 -01 0\n", "2 5 -1 1_0\n", "2 5 -1 +1\n"]
+    )
     def test_parse_script_wants_canonical_integers(self, text):
         with pytest.raises(ValueError, match="not in canonical form"):
             parse_script(text)

@@ -909,8 +909,8 @@ def test_passes_agree_on_interned_and_deinterned_replays(cycles):
 
 
 def test_replays_hold_each_distinct_configuration_once():
-    # The engine interns within one continue_run call; a replay interns its
-    # configurations and records across all of them, which changes no pass.
+    # The engine interns configurations and records across all the
+    # continue_run calls of a replay, which changes no pass.
     line = replay_strong_impossibility(2, 200)
     hexagon = replay_ta_strong_impossibility(frozenset({3}), 200)
     for ex, distinct, area in (

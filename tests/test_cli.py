@@ -467,7 +467,12 @@ class TestExitCodes:
         assert "out of range 0..3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "step, old, new", [(2, "byz=3:2:8", "byz=3:2:-8"), (1, "chg=2:3:1", "chg=2:3:-1")]
+        "step, old, new",
+        [
+            (2, "byz=3:2:8", "byz=3:2:-8"),
+            (1, "chg=2:3:1", "chg=2:3:-1"),
+            (2, "byz=3:2:8", "byz=3:2:-1"),
+        ],
     )
     def test_trace_with_a_negative_level(self, tmp_path, capsys, step, old, new):
         trace = self.oscillator_trace(tmp_path, step, old, new)
@@ -486,6 +491,8 @@ class TestExitCodes:
             (1, "chg=2:3:1", "chg=2:3:+1"),
             (2, "byz=3:2:8", "byz=3:2:0_8"),
             (3, "byz=3:-1:0", "byz=3:-01:0"),
+            (1, "chg=2:3:1", "chg=2:-01:1"),
+            (2, "byz=3:2:8", "byz=3:2:+1"),
         ],
     )
     def test_trace_with_an_integer_not_in_canonical_form(
@@ -501,7 +508,12 @@ class TestExitCodes:
         assert "malformed trace line" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "step, old, new", [(1, "chg=2:3:1", "chg=2:-5:1"), (2, "byz=3:2:8", "byz=3:-2:8")]
+        "step, old, new",
+        [
+            (1, "chg=2:3:1", "chg=2:-5:1"),
+            (2, "byz=3:2:8", "byz=3:-2:8"),
+            (2, "byz=3:2:8", "byz=3:-5:8"),
+        ],
     )
     def test_trace_with_a_parent_below_minus_one(self, tmp_path, capsys, step, old, new):
         trace = self.oscillator_trace(tmp_path, step, old, new)
@@ -533,6 +545,7 @@ class TestExitCodes:
             ("\n2 3\n", "\n02 3\n", "not in canonical form"),
             ("\n1 0 4\n", "\n1 0 04\n", "not in canonical form"),
             ("\n1 0 4\n", "\n1 -5 4\n", "parent below -1"),
+            ("\n0 -1 0\n", "\n0 2 0\n", "parent is not a neighbor"),
             ('"seed": 0', '"seed":0', "not as trace_text writes it"),
             ("topology-begin\n", "topology-begin\n# a comment\n", "not as trace_text writes it"),
         ],

@@ -270,6 +270,8 @@ class TestNormalizeAndSerialize:
         fm = make_fault_model(topo, [])
         with pytest.raises(ValueError):
             normalize_config(topo, fm, cfg_from([(BOT, 0), (0, -1)]))
+        with pytest.raises(ValueError, match="negative level"):
+            parse_config("0 -1 0\n1 0 -1\n", 2)
 
     def test_config_file_round_trip(self):
         cfg = cfg_from([(BOT, 0), (0, 1), (7, 3)])
@@ -278,7 +280,14 @@ class TestNormalizeAndSerialize:
         assert parse_config(text, 3) == cfg
 
     @pytest.mark.parametrize(
-        "text", ["0 -1 0\n01 0 1\n", "0 -1 0\n1 +0 1\n", "0 -1 0\n1 0 1_0\n", "0 -01 0\n1 0 1\n"]
+        "text",
+        [
+            "0 -1 0\n01 0 1\n",
+            "0 -1 0\n1 +0 1\n",
+            "0 -1 0\n1 0 1_0\n",
+            "0 -01 0\n1 0 1\n",
+            "0 -1 0\n1 0 +1\n",
+        ],
     )
     def test_parse_config_wants_canonical_integers(self, text):
         with pytest.raises(ValueError, match="not in canonical form"):

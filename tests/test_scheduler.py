@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -469,6 +470,34 @@ def test_step_budget_scales_with_size():
     assert step_budget(topo) == 50 * 5 * 4
     single = Topology.from_edges(1, 0, [])
     assert step_budget(single) == 50
+
+
+def test_continue_run_keeps_one_intern_table_per_execution():
+    # A later call reuses the interned configurations and transitions of
+    # earlier ones.  With ``copies`` the caller swaps every configuration
+    # for an equal copy and frees the old ones before each call, so the
+    # engine must swap its start for the interned twin: an id in its cache
+    # could otherwise come to name another configuration.
+    topo, fm = path_case(6, byz=[5])
+    daemon, stop = DaemonPolicy(DISTRIBUTED, RANDOM), StopCriterion(max_steps=40)
+    adversaries = [Oscillator(1), FakeRoot(), Oscillator(2), MirrorRoot(), WellBehaved()]
+
+    def extend(copies):
+        ex = run(topo, fm, corrupted(topo, fm), daemon, RandomWrites(3), stop, seed=1)
+        for seed, adversary in enumerate(adversaries):
+            if copies:
+                ex.configs[:] = [tuple(list(c)) for c in ex.configs]
+                gc.collect()
+            start = len(ex.configs) - 1
+            continue_run(ex, daemon, adversary, stop, seed)
+            made = ex.configs[start:]
+            assert len(set(map(id, made))) == len(set(made))
+        return ex
+
+    plain, copied = extend(False), extend(True)
+    assert copied.configs == plain.configs
+    assert verify_replay(plain) is None and verify_replay(copied) is None
+    assert len(set(map(id, plain.configs))) == len(set(plain.configs))
 
 
 # ---------------------------------------------------------------------------
