@@ -96,7 +96,7 @@ class ExhaustiveReport:
 def _spanning_tree_ok(topo: Topology, cfg) -> bool:
     # Every level is the hop distance to the root, and every parent is a
     # neighbor one hop closer.
-    dist = topo.distances[topo.root]
+    dist = topo.distances_from(topo.root)
     return cfg[topo.root] == (None, 0) and all(
         cfg[v].prnt in topo.neighbors[v]
         and cfg[v].level == dist[v] == dist[cfg[v].prnt] + 1
@@ -108,7 +108,15 @@ def _spanning_tree_ok(topo: Topology, cfg) -> bool:
 def run_exhaustive(
     n_max: int, f_max: int, labeled: bool = False, seed: int = 0
 ) -> ExhaustiveReport:
-    """Run the full certification sweep and collect assertion failures."""
+    """Run the full certification sweep and collect assertion failures.
+
+    A sweep with no process or with a negative fault budget would report
+    no case and pass, so both are refused; ``f_max=0`` is the fault-free
+    sweep."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if f_max < 0:
+        raise ValueError(f"f_max must be nonnegative, got {f_max}")
     report = ExhaustiveReport()
     daemon = DaemonPolicy(kind=DISTRIBUTED, fairness=RANDOM)
     for topo, fm in enumerate_cases(n_max, f_max, labeled):

@@ -4,15 +4,17 @@ Graphs are small, undirected and connected, with one distinguished root
 process.  Each process keeps its neighbors in a fixed order (the order in
 which its edges appear in the input).  That order drives the protocol's
 round-robin parent selection, so it is part of the topology rather than a
-presentation detail.  All pairwise hop distances, the diameter and the
-maximum degree are computed once at construction; instances are immutable
-and safe to share across parallel runs.
+presentation detail.  The diameter and the maximum degree are computed
+once at construction, in memory linear in the graph; the hop distances
+from a process are one BFS row, computed the first time something asks
+for it and then cached on the topology.  Instances are immutable apart
+from that cache and safe to share across parallel runs: two racing fills
+of a row write equal tuples.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,10 +30,13 @@ class Topology:
     root: int
     neighbors: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
-    distances: tuple[tuple[int, ...], ...]
     # Derived from the fields above by from_edges.
     _diameter: int = field(default=0, repr=False, compare=False)
     _max_degree: int = field(default=0, repr=False, compare=False)
+    # BFS rows by source, filled by distances_from.
+    _rows: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_edges(cls, n: int, root: int, edges) -> "Topology":
@@ -59,13 +64,11 @@ class Topology:
             edge_list.append((u, v))
             nbrs[u].append(v)
             nbrs[v].append(u)
-        dist, diam = _all_pairs_bfs(n, nbrs)
         return cls(
             root=root,
             neighbors=tuple(tuple(ns) for ns in nbrs),
             edges=tuple(edge_list),
-            distances=tuple(tuple(row) for row in dist),
-            _diameter=diam,
+            _diameter=_diameter(nbrs),
             _max_degree=max(len(ns) for ns in nbrs),
         )
 
@@ -88,8 +91,15 @@ class Topology:
     def degree(self, v: int) -> int:
         return len(self.neighbors[self._check(v)])
 
+    def distances_from(self, v: int) -> tuple[int, ...]:
+        """Hop distance from v to every process, indexed by process."""
+        row = self._rows.get(v)
+        if row is None:
+            row = self._rows[self._check(v)] = tuple(_bfs(self.neighbors, v)[0])
+        return row
+
     def hop_distance(self, u: int, v: int) -> int:
-        return self.distances[self._check(u)][self._check(v)]
+        return self.distances_from(u)[self._check(v)]
 
     def processes(self) -> range:
         return range(len(self.neighbors))
@@ -100,30 +110,65 @@ class Topology:
         return v
 
 
-def _all_pairs_bfs(n: int, nbrs: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Hop distances from every source, and the diameter.
-
-    The last vertex a BFS dequeues is a farthest one, so its distance is the
-    source's eccentricity.  A graph is connected iff the first BFS reaches
-    every vertex.
-    """
-    dist = [[-1] * n for _ in range(n)]
-    diam = 0
-    for src in range(n):
-        row = dist[src]
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
+def _bfs(nbrs, src: int) -> tuple[list[int], list[list[int]]]:
+    """Hop distances from src (-1 where unreached) and the BFS layers, layer
+    d holding the processes at distance d.  The search stops once every
+    process is reached, so the edges of the last layer are never scanned:
+    on a complete graph a BFS costs one degree, not every edge."""
+    dist = [-1] * len(nbrs)
+    dist[src] = 0
+    layer = [src]
+    layers = [layer]
+    left = len(nbrs) - 1
+    while left and layer:
+        d = len(layers)
+        layer = []
+        for u in layers[-1]:
             for w in nbrs[u]:
-                if row[w] < 0:
-                    row[w] = row[u] + 1
-                    queue.append(w)
-        if src == 0 and -1 in row:
-            raise ValueError("graph is not connected")
-        if row[u] > diam:
-            diam = row[u]
-    return dist, diam
+                if dist[w] < 0:
+                    dist[w] = d
+                    layer.append(w)
+        left -= len(layer)
+        if layer:
+            layers.append(layer)
+    return dist, layers
+
+
+def _diameter(nbrs) -> int:
+    """The exact diameter of a graph, which must be connected.
+
+    iFUB (Crescenzi, Grossi, Habib, Lanzi and Marino, "On computing the
+    diameter of real-world undirected graphs", TCS 2013): every pair of
+    processes within i hops of a process u lies at most 2i apart, so once
+    the processes beyond layer i of u have had their eccentricities taken,
+    a lower bound of at least 2i is the diameter.  The fewer layers u has,
+    the sooner that happens, so u is the least eccentric of the processes
+    a guess at the centre searches from: four sweeps, each from the process
+    farthest from all earlier sources, and then the process whose farthest
+    sweep source is nearest.  The sweeps' eccentricities start the lower
+    bound.  Memory stays linear: a few rows during the sweeps, then u's
+    layers; every later BFS yields only its eccentricity.
+    """
+    n = len(nbrs)
+    dist, layers = _bfs(nbrs, max(range(n), key=lambda v: len(nbrs[v])))
+    if min(dist) < 0:
+        raise ValueError("graph is not connected")
+    nearest, reach, centre, lower = dist, [0] * n, layers, 0
+    for _ in range(4):
+        dist, layers = _bfs(nbrs, max(range(n), key=nearest.__getitem__))
+        nearest = list(map(min, nearest, dist))
+        reach = list(map(max, reach, dist))
+        centre = min(centre, layers, key=len)
+        lower = max(lower, len(layers) - 1)
+    layers = min(centre, _bfs(nbrs, min(range(n), key=reach.__getitem__))[1], key=len)
+    i = len(layers) - 1
+    while lower < 2 * i:
+        for x in layers[i]:
+            lower = max(lower, len(_bfs(nbrs, x)[1]) - 1)
+            if lower == 2 * i:
+                return lower
+        i -= 1
+    return lower
 
 
 @dataclass(frozen=True)
@@ -174,9 +219,10 @@ class ContainmentAreas:
 
 def anchor_distance(topo: Topology, fm: FaultModel, v: int) -> int:
     """Hop distance from v to the nearest of the root and the Byzantine set."""
-    d = topo.distances[v][topo.root]
+    # Distances are symmetric, so the anchors' rows serve every v.
+    d = topo.distances_from(topo.root)[v]
     for b in fm.byzantine:
-        db = topo.distances[v][b]
+        db = topo.distances_from(b)[v]
         if db < d:
             d = db
     return d
@@ -195,14 +241,13 @@ def compute_containment_areas(topo: Topology, fm: FaultModel) -> ContainmentArea
     near = set()
     strictly = set()
     if fm.byzantine:
-        for v in topo.processes():
+        to_root = topo.distances_from(topo.root)
+        for v, d_byz in enumerate(_nearest(topo, fm)):
             if v == topo.root or v in fm.byzantine:
                 continue
-            d_byz = min(topo.distances[v][b] for b in fm.byzantine)
-            d_root = topo.distances[v][topo.root]
-            if d_byz <= d_root:
+            if d_byz <= to_root[v]:
                 near.add(v)
-            if d_byz < d_root:
+            if d_byz < to_root[v]:
                 strictly.add(v)
     return ContainmentAreas(
         near=frozenset(near),
@@ -223,10 +268,14 @@ def radius_area(topo: Topology, fm: FaultModel, c: int) -> frozenset[int]:
         return frozenset()
     return frozenset(
         v
-        for v in topo.processes()
-        if fm.is_correct(v)
-        and min(topo.distances[v][b] for b in fm.byzantine) <= c
+        for v, d in enumerate(_nearest(topo, fm))
+        if d <= c and fm.is_correct(v)
     )
+
+
+def _nearest(topo: Topology, fm: FaultModel) -> list[int]:
+    """Hop distance from each process to the nearest Byzantine process."""
+    return [min(ds) for ds in zip(*(topo.distances_from(b) for b in fm.byzantine))]
 
 
 # ---------------------------------------------------------------------------

@@ -588,6 +588,20 @@ class TestExitCodes:
         assert code == 2
         assert "max_steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--n-max", "0"], "n_max must be at least 1, got 0"),
+            (["--f-max", "-1"], "f_max must be nonnegative, got -1"),
+        ],
+    )
+    def test_exhaustive_sweep_that_would_certify_nothing(self, capsys, flags, error):
+        # Each used to print "cases=0 runs=0 failures=0" and exit 0.
+        assert main(["exhaustive", *flags]) == 2
+        captured = capsys.readouterr()
+        assert error in captured.err
+        assert captured.out == ""
+
 
 class TestExhaustiveCommand:
     def test_single_node_world_trivially_passes(self, capsys):
@@ -596,6 +610,12 @@ class TestExhaustiveCommand:
 
     def test_two_nodes(self):
         assert main(["exhaustive", "--n-max", "2", "--f-max", "1"]) == 0
+
+    def test_no_faults_is_the_fault_free_sweep(self, capsys):
+        # 1 + 2 + 6 root placements of the n <= 3 catalog, one silent run
+        # from each of three initial states.
+        assert main(["exhaustive", "--n-max", "3", "--f-max", "0"]) == 0
+        assert "cases=9 runs=27 failures=0" in capsys.readouterr().out
 
 
 class TestExecuteRun:

@@ -1,6 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minplus import (
     ContainmentAreas,
@@ -118,6 +121,156 @@ class TestDiameter:
 
     def test_hexagon(self):
         assert hexagon()[0].diameter == 3
+
+
+def cycle_edges(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def complete_edges(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def grid_edges(w, h):
+    edges = []
+    for i in range(h):
+        for j in range(w):
+            v = i * w + j
+            if j + 1 < w:
+                edges.append((v, v + 1))
+            if i + 1 < h:
+                edges.append((v, v + w))
+    return edges
+
+
+def lollipop_edges(k, tail):
+    # A k-clique with a path of ``tail`` processes hanging off process k-1.
+    return complete_edges(k) + [(v, v + 1) for v in range(k - 1, k + tail - 1)]
+
+
+# The diameter search prunes best on paths and stars and worst on cycles and
+# complete graphs, where every process has the same eccentricity; grids tie
+# many processes at each distance, and a lollipop puts the centre off the
+# densest part of the graph.
+SHAPES = {
+    **{f"cycle{n}": (n, cycle_edges(n)) for n in (3, 4, 5, 10, 11, 30)},
+    **{f"complete{n}": (n, complete_edges(n)) for n in (1, 2, 3, 7, 12)},
+    **{f"star{n}": (n, [(0, v) for v in range(1, n)]) for n in (2, 3, 9)},
+    **{f"path{n}": (n, [(v, v + 1) for v in range(n - 1)]) for n in (2, 7, 30)},
+    **{f"grid{w}x{h}": (w * h, grid_edges(w, h)) for w, h in ((1, 5), (2, 3), (5, 5), (4, 7), (6, 6))},
+    "lollipop6+5": (11, lollipop_edges(6, 5)),
+    "lollipop4+12": (16, lollipop_edges(4, 12)),
+    # Every sweep of the search finds eccentricity 2 here; only the
+    # eccentricities of the centre's outer layer find the diameter, 3.
+    "sweeps_undershoot": (
+        9,
+        [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (2, 7), (5, 8),
+         (1, 6), (3, 7), (5, 4), (8, 0), (2, 3), (8, 7), (6, 0)],
+    ),
+}
+
+
+def assert_matches_floyd_warshall(n, edges, roots):
+    dist = floyd_warshall(n, edges)
+    for root in roots:
+        topo = Topology.from_edges(n, root, edges)
+        assert topo.diameter == max(max(row) for row in dist)
+        for u in range(n):
+            assert topo.distances_from(u) == tuple(dist[u])
+            for v in range(n):
+                assert topo.hop_distance(u, v) == dist[u][v]
+
+
+@st.composite
+def connected_graphs(draw, n_max=30):
+    """A random spanning tree over shuffled labels, plus random chords."""
+    n = draw(st.integers(1, n_max))
+    order = draw(st.permutations(range(n)))
+    edges = [(order[draw(st.integers(0, i - 1))], order[i]) for i in range(1, n)]
+    present = {frozenset(e) for e in edges}
+    if n > 1:
+        pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        for u, v in draw(st.lists(pairs, max_size=2 * n)):
+            if frozenset((u, v)) not in present:
+                present.add(frozenset((u, v)))
+                edges.append((u, v))
+    return n, edges
+
+
+class TestDiameterSearch:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shapes_match_floyd_warshall(self, shape):
+        n, edges = SHAPES[shape]
+        assert_matches_floyd_warshall(n, edges, roots=[0, n - 1])
+        # Relabelled and reordered, so the search starts somewhere else.
+        rng = random.Random(shape)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        shuffled = [(perm[u], perm[v]) for u, v in edges]
+        rng.shuffle(shuffled)
+        assert_matches_floyd_warshall(n, shuffled, roots=[0])
+
+    def test_many_small_graphs_match_floyd_warshall(self):
+        # About one graph in a hundred of these needs more than the sweeps.
+        rng = random.Random(11)
+        for _ in range(1500):
+            n = rng.randint(4, 14)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            present = {frozenset(e) for e in edges}
+            for _ in range(rng.randint(0, n)):
+                u, v = rng.sample(range(n), 2)
+                if frozenset((u, v)) not in present:
+                    present.add(frozenset((u, v)))
+                    edges.append((u, v))
+            dist = floyd_warshall(n, edges)
+            topo = Topology.from_edges(n, 0, edges)
+            assert topo.diameter == max(max(row) for row in dist), edges
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs())
+    def test_random_connected_graphs_match_floyd_warshall(self, graph):
+        n, edges = graph
+        assert_matches_floyd_warshall(n, edges, roots=range(n))
+
+    def test_filled_rows_do_not_change_equality_or_hash(self):
+        edges = grid_edges(3, 4)
+        a = Topology.from_edges(12, 0, edges)
+        b = Topology.from_edges(12, 0, edges)
+        assert a.hop_distance(0, 11) == 5
+        assert compute_containment_areas(a, make_fault_model(a, [7, 9])).near
+        assert a == b and hash(a) == hash(b)
+        assert {b: "b"}[a] == "b"
+        assert repr(a) == repr(b)
+
+
+def traced_peak(build) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``build`` runs."""
+    tracemalloc.start()
+    try:
+        build()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+class TestConstructionMemory:
+    # An n x n distance table of n = 2,000 alone takes over 30 MB.
+    LIMIT = 4 * 2**20
+
+    def test_long_path_builds_in_linear_memory(self):
+        edges = [(v, v + 1) for v in range(1999)]
+        built = []
+        peak = traced_peak(lambda: built.append(Topology.from_edges(2000, 0, edges)))
+        assert built[0].diameter == 1999
+        assert peak < self.LIMIT
+
+    def test_disconnected_graph_is_refused_in_linear_memory(self):
+        def build():
+            with pytest.raises(ValueError, match="not connected"):
+                Topology.from_edges(3000, 0, [(0, 1)])
+
+        assert traced_peak(build) < self.LIMIT
 
 
 class TestFaultModel:
