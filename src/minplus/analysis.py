@@ -29,7 +29,7 @@ from .graph import (
     ContainmentAreas,
     FaultModel,
     Topology,
-    anchor_distance,
+    _nearest,
     compute_containment_areas,
 )
 from .adversary import Silent
@@ -57,17 +57,15 @@ def spec_holds(topo: Topology, fm: FaultModel, cfg: Config, v: int) -> bool:
 
     The parent chain is the only candidate path (the path condition pins
     each path member to be the previous member's parent), so the check walks
-    the chain with a cycle guard instead of enumerating paths.
+    the chain instead of enumerating paths.  The walk needs no cycle guard:
+    it moves to a parent only when the parent's level is one lower, so the
+    levels it visits fall strictly and no process comes round twice.
     """
     if v == topo.root:
         return cfg[v] == ProcState(None, 0)
     anchors = fm.byzantine | {topo.root}
-    seen = set()
     cur = v
     while True:
-        if cur in seen:
-            return False
-        seen.add(cur)
         prnt, level = cfg[cur]
         if prnt is None:
             return level == 0 and cur in anchors and cur != v
@@ -89,8 +87,7 @@ def _floor_heights(topo: Topology, fm: FaultModel, configs) -> list[int]:
     # across all configurations skips, in one min(), every process that
     # never drops below its anchor distance.
     heights = [topo.diameter] * len(configs)
-    for v in topo.processes():
-        anchor = anchor_distance(topo, fm, v)
+    for v, anchor in enumerate(_nearest(topo, fm.byzantine | {topo.root})):
         levels = [cfg[v].level for cfg in configs]
         if min(levels, default=anchor) < anchor:
             heights = [
@@ -307,16 +304,19 @@ def _segments(
         cfg = configs[i]
         ok = memo.get(id(cfg))
         if ok is None:
+            # Legitimacy implies that no watched process is enabled: at a
+            # correct process other than the root, spec_holds's first step is
+            # the negation of each clause of its guard, and at the root both
+            # mean (bottom, 0).  So only the stability run is left to ask.
             ok = False
-            if not any(is_enabled(topo, cfg, v) for v in watch):
-                if is_area_legitimate(topo, fm, cfg, area):
-                    stable = is_area_stable(topo, fm, cfg, area, budget)
-                    if stable is None:
-                        raise AnalysisError(
-                            "area stability undecided at candidate boundary",
-                            step_index=i - lo,
-                        )
-                    ok = stable
+            if is_area_legitimate(topo, fm, cfg, area):
+                stable = is_area_stable(topo, fm, cfg, area, budget)
+                if stable is None:
+                    raise AnalysisError(
+                        "area stability undecided at candidate boundary",
+                        step_index=i - lo,
+                    )
+                ok = stable
             memo[id(cfg)] = ok
         return ok
 

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .adversary import Adversary, Oscillator, Silent
 from .analysis import violations
-from .graph import Topology, compute_containment_areas, make_fault_model
+from .graph import Topology, _bfs, compute_containment_areas, make_fault_model
 from .scenarios import all_zero_config, corrupted_config, random_config
 from .scheduler import (
     DISTRIBUTED,
@@ -49,14 +49,14 @@ def connected_graph_catalog(n_max: int) -> list[tuple[int, list[tuple[int, int]]
 
 def labeled_connected_graphs(n: int):
     """Every labeled connected graph on n nodes, by edge-set enumeration."""
-    import networkx as nx
-
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        graph = nx.empty_graph(n)
-        graph.add_edges_from(edges)
-        if nx.is_connected(graph):
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        if min(_bfs(nbrs, 0)[0]) >= 0:
             yield edges
 
 

@@ -219,13 +219,7 @@ class ContainmentAreas:
 
 def anchor_distance(topo: Topology, fm: FaultModel, v: int) -> int:
     """Hop distance from v to the nearest of the root and the Byzantine set."""
-    # Distances are symmetric, so the anchors' rows serve every v.
-    d = topo.distances_from(topo.root)[v]
-    for b in fm.byzantine:
-        db = topo.distances_from(b)[v]
-        if db < d:
-            d = db
-    return d
+    return _nearest(topo, fm.byzantine | {topo.root})[topo._check(v)]
 
 
 def compute_containment_areas(topo: Topology, fm: FaultModel) -> ContainmentAreas:
@@ -238,22 +232,14 @@ def compute_containment_areas(topo: Topology, fm: FaultModel) -> ContainmentArea
     """
     if topo.root in fm.byzantine:
         raise ValueError("root cannot be Byzantine")
-    near = set()
-    strictly = set()
-    if fm.byzantine:
-        to_root = topo.distances_from(topo.root)
-        for v, d_byz in enumerate(_nearest(topo, fm)):
-            if v == topo.root or v in fm.byzantine:
-                continue
-            if d_byz <= to_root[v]:
-                near.add(v)
-            if d_byz < to_root[v]:
-                strictly.add(v)
-    return ContainmentAreas(
-        near=frozenset(near),
-        strictly_near=frozenset(strictly),
-        frontier=frozenset(near - strictly),
-    )
+    # Each process's distance to the Byzantine set raced against its distance
+    # to the root.  The root wins its own race, so only the Byzantine
+    # processes need leaving out; with none, to_byz is empty.
+    to_byz = _nearest(topo, fm.byzantine)
+    to_root = topo.distances_from(topo.root)
+    near = frozenset(v for v, d in enumerate(to_byz) if d <= to_root[v] and fm.is_correct(v))
+    strictly = frozenset(v for v in near if to_byz[v] < to_root[v])
+    return ContainmentAreas(near=near, strictly_near=strictly, frontier=near - strictly)
 
 
 def radius_area(topo: Topology, fm: FaultModel, c: int) -> frozenset[int]:
@@ -264,18 +250,18 @@ def radius_area(topo: Topology, fm: FaultModel, c: int) -> frozenset[int]:
     """
     if c < 0:
         raise ValueError("radius must be nonnegative")
-    if not fm.byzantine:
-        return frozenset()
     return frozenset(
         v
-        for v, d in enumerate(_nearest(topo, fm))
+        for v, d in enumerate(_nearest(topo, fm.byzantine))
         if d <= c and fm.is_correct(v)
     )
 
 
-def _nearest(topo: Topology, fm: FaultModel) -> list[int]:
-    """Hop distance from each process to the nearest Byzantine process."""
-    return [min(ds) for ds in zip(*(topo.distances_from(b) for b in fm.byzantine))]
+def _nearest(topo: Topology, sources) -> list[int]:
+    """Hop distance from each process to the nearest process of ``sources``,
+    indexed by process; empty when ``sources`` is.  Distances are symmetric,
+    so the sources' own rows serve every process."""
+    return [min(ds) for ds in zip(*(topo.distances_from(s) for s in sources))]
 
 
 # ---------------------------------------------------------------------------

@@ -45,16 +45,6 @@ class ScenarioParams:
     byz_ids: tuple[int, ...] | None = None
     byz_count: int | None = None
 
-    def scenario_id(self) -> str:
-        parts = [self.kind]
-        for name in ("c", "n", "w", "h", "edge_prob", "seed", "byz_count"):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{name}={value}")
-        if self.byz_ids is not None:
-            parts.append("byz=" + ",".join(str(b) for b in self.byz_ids))
-        return " ".join(parts)
-
 
 def parse_scenario(text: str) -> ScenarioParams:
     """Parse a declarative scenario line like "random n=10 p=0.3 seed=7 byz_count=2"."""
@@ -92,9 +82,8 @@ def line_topology(c: int) -> tuple[Topology, FaultModel]:
     """A chain of 2c+4 processes: root at one end, Byzantine at the other."""
     if c < 0:
         raise ValueError("c must be nonnegative")
-    n = 2 * c + 4
-    topo = Topology.from_edges(n, 0, [(i, i + 1) for i in range(n - 1)])
-    return topo, make_fault_model(topo, [n - 1])
+    topo = path_topology(2 * c + 4)
+    return topo, make_fault_model(topo, [2 * c + 3])
 
 
 def hexagon_topology() -> tuple[Topology, FaultModel]:

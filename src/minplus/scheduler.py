@@ -8,9 +8,15 @@ pre-step configuration.  Three daemons are supported:
 * ``central``    -- one process per step: either a single correct
   activation or a single Byzantine write, alternating between the two when
   both have work so neither side starves the other.
-* ``distributed`` -- any nonempty subset of the enabled correct processes,
-  with Byzantine writes riding along in the same step.
-* ``synchronous`` -- every enabled correct process, every step.
+* ``distributed`` -- a nonempty subset of the enabled correct processes,
+  with Byzantine writes riding along in the same step: a random one under
+  ``random`` fairness, all of them under ``round_robin``.
+* ``synchronous`` -- every enabled correct process, every step, under
+  either fairness.
+
+So distributed round-robin, synchronous round-robin and synchronous random
+are one daemon and make the same executions; a trace still records the
+daemon as it was given.
 
 Fairness is bounded: a correct process continuously enabled across a full
 window of activation opportunities is forcibly activated (window = process
@@ -66,6 +72,12 @@ SCRIPT = "script"
 
 @dataclass(frozen=True)
 class DaemonPolicy:
+    """Which enabled correct processes act in each step (see the module
+    docstring).  ``(distributed, round_robin)``, ``(synchronous,
+    round_robin)`` and ``(synchronous, random)`` all activate every enabled
+    process, so they run alike; they stay distinct values, and a trace
+    header records the one given."""
+
     kind: str = DISTRIBUTED
     fairness: str = RANDOM
     script: tuple[frozenset[int], ...] | None = None
@@ -225,11 +237,7 @@ def _drive(
     # enabled without acting) is ``slots - since[v]`` and a step updates only
     # the processes it touches.
     slots = 0
-    since = {
-        v: 0
-        for v in topo.processes()
-        if v not in byzantine and is_enabled(topo, cfg, v)
-    }
+    since = dict.fromkeys(sorted(enabled_set(topo, fm, cfg)), 0)
     last_slot_byz = True  # first central slot goes to a correct process
     # Whether every enabled process acts.  Actions read the pre-step
     # configuration, so the order of ``activated`` never matters.

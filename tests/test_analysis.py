@@ -31,6 +31,7 @@ from minplus import (
     is_enabled,
     is_strongly_contained,
     level_floor_holds,
+    line_topology,
     make_fault_model,
     measure,
     metrics_csv,
@@ -56,6 +57,7 @@ from _oracles import (
     disruptions,
     first_index,
     floor_regressions,
+    floyd_warshall,
     random_connected_edges,
     step_changes,
     step_lines,
@@ -175,6 +177,25 @@ class TestLevelFloor:
         cfg = (ProcState(BOT, 0), ProcState(0, 1), ProcState(1, 0), ProcState(4, 1), ProcState(BOT, 0))
         assert anchor_distance(topo, fm, 2) == 2
         assert not level_floor_holds(topo, fm, cfg, 1)
+
+    def test_anchor_distance_matches_distance_oracle(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            n = rng.randint(2, 10)
+            topo = Topology.from_edges(n, rng.randrange(n), random_connected_edges(rng, n))
+            pool = [v for v in topo.processes() if v != topo.root]
+            fm = make_fault_model(topo, rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+            dist = floyd_warshall(n, topo.edges)
+            for v in topo.processes():
+                want = min(dist[a][v] for a in fm.byzantine | {topo.root})
+                assert anchor_distance(topo, fm, v) == want
+
+    def test_anchor_distance_rejects_invalid_process_ids(self):
+        # -1 would otherwise index process 5 from the end, and 6 overruns.
+        topo, fm = line_topology(1)
+        for v in (-1, 6):
+            with pytest.raises(ValueError, match=f"invalid process id {v}"):
+                anchor_distance(topo, fm, v)
 
     def test_rejects_out_of_range_depth(self):
         topo, fm = path_case(3)

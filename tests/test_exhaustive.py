@@ -15,6 +15,7 @@ def test_labeled_enumeration_counts():
     assert sum(1 for _ in labeled_connected_graphs(2)) == 1
     assert sum(1 for _ in labeled_connected_graphs(3)) == 4
     assert sum(1 for _ in labeled_connected_graphs(4)) == 38
+    assert sum(1 for _ in labeled_connected_graphs(5)) == 728  # OEIS A001187
 
 
 def test_catalog_counts_by_isomorphism_class():

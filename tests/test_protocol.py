@@ -241,6 +241,11 @@ class TestStep:
         with pytest.raises(ContractViolation):
             step(self.topo, self.fm, cfg, set(), {2: ProcState(BOT, 0)})
 
+    def test_negative_level_write_rejected(self):
+        cfg = cfg_from([(BOT, 0), (0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ContractViolation, match="negative level written to 4"):
+            step(self.topo, self.fm, cfg, set(), {4: ProcState(BOT, -1)})
+
     def test_disabled_activation_rejected(self):
         cfg = cfg_from([(BOT, 0), (0, 1), (1, 2), (2, 3), (3, 4)])
         with pytest.raises(ContractViolation):

@@ -13,6 +13,7 @@ from minplus import (
     DISTRIBUTED,
     ROUND_ROBIN,
     SYNCHRONOUS,
+    Adversary,
     ContractViolation,
     DaemonPolicy,
     FairnessViolation,
@@ -39,7 +40,13 @@ from minplus import (
 )
 from minplus.scheduler import RANDOM, SCRIPT, parse_trace
 
-from _oracles import floyd_warshall, is_parent_spanning_tree, reference_guard, reference_rule
+from _oracles import (
+    floyd_warshall,
+    is_parent_spanning_tree,
+    random_connected_edges,
+    reference_guard,
+    reference_rule,
+)
 
 ALL_FAIR = [
     DaemonPolicy(CENTRAL, ROUND_ROBIN),
@@ -72,6 +79,18 @@ def corrupted(topo, fm):
 
 def quiesce_stop(topo):
     return StopCriterion(max_steps=step_budget(topo))
+
+
+class FixedWrites(Adversary):
+    """Writes the same Byzantine states at every step."""
+
+    name = "fixed"
+
+    def __init__(self, writes):
+        self.fixed = writes
+
+    def writes(self, topo, fm, configs, step_index):
+        return dict(self.fixed)
 
 
 class TestEnabledSet:
@@ -278,6 +297,34 @@ class TestDaemonShapes:
         for i, rec in enumerate(ex.steps):
             assert rec.activated <= enabled_set(topo, fm, ex.configs[i])
 
+    def test_three_settings_are_the_synchronous_daemon(self):
+        # Distributed round-robin and synchronous under either fairness all
+        # activate every enabled process each step, so they run alike; each
+        # trace still records the daemon it was given.
+        alike = [(DISTRIBUTED, ROUND_ROBIN), (SYNCHRONOUS, ROUND_ROBIN), (SYNCHRONOUS, RANDOM)]
+        rng = random.Random(9)
+        for _ in range(30):
+            topo = Topology.from_edges(9, 0, random_connected_edges(rng, 9))
+            fm = make_fault_model(topo, rng.sample(range(1, 9), 2))
+            for adversary in (Oscillator(1), RandomWrites(rng.randrange(100))):
+                runs = [
+                    run(
+                        topo,
+                        fm,
+                        corrupted(topo, fm),
+                        DaemonPolicy(kind, fairness),
+                        adversary,
+                        StopCriterion(max_steps=60),
+                        seed=3,
+                    )
+                    for kind, fairness in alike
+                ]
+                for ex in runs[1:]:
+                    assert ex.configs == runs[0].configs
+                    assert ex.steps == runs[0].steps
+                headers = [json.loads(trace_text(ex).splitlines()[1])["daemon"] for ex in runs]
+                assert headers == [{"kind": k, "fairness": f} for k, f in alike]
+
 
 def max_starvation(ex, count_byz_only_steps: bool) -> int:
     """Longest run of configs where some process stays enabled, unactivated."""
@@ -337,6 +384,18 @@ class TestFairness:
                 (ProcState(None, 0), ProcState(None, 5), ProcState(2, 9)),
                 DaemonPolicy(DISTRIBUTED, "script", script=script),
                 Silent(),
+                StopCriterion(max_steps=10),
+            )
+
+    def test_central_script_step_cannot_ride_along_a_byzantine_write(self):
+        topo, fm = path_case(3, byz=[2])
+        with pytest.raises(ContractViolation, match="central daemon: one process per step"):
+            run(
+                topo,
+                fm,
+                (ProcState(None, 0), ProcState(None, 5), ProcState(None, 0)),
+                DaemonPolicy(CENTRAL, SCRIPT, script=(frozenset({1}),)),
+                FixedWrites({2: ProcState(1, 7)}),
                 StopCriterion(max_steps=10),
             )
 
@@ -458,6 +517,19 @@ class TestReplayAndTraces:
         assert "\n2 3\n" in text
         with pytest.raises(ValueError, match="topology_sha256"):
             parse_trace(text.replace("\n2 3\n", "\n1 3\n", 1))
+
+
+def test_engine_refuses_a_negative_level_write():
+    topo, fm = path_case(3, byz=[2])
+    with pytest.raises(ContractViolation, match="negative level written to 2"):
+        run(
+            topo,
+            fm,
+            (ProcState(None, 0), ProcState(0, 1), ProcState(None, 0)),
+            DaemonPolicy(DISTRIBUTED, RANDOM),
+            FixedWrites({2: ProcState(None, -1)}),
+            StopCriterion(max_steps=10),
+        )
 
 
 def test_negative_step_budget_is_rejected():
