@@ -11,8 +11,9 @@ A strategy may also say it is periodic.  ``phase(step_index)`` returns
 ``None`` (the default: not periodic) or a hashable key such that ``writes``
 and ``done`` at that step depend only on the last configuration and the
 key, and two steps with equal keys have equal keys at the steps after them.
-The engine then repeats a cycle of steps in which no correct process is
-enabled without asking the strategy again.
+The engine then repeats a cycle of forced steps, those whose outcome the
+daemon cannot change (see :mod:`minplus.scheduler`), without asking the
+strategy again.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, pairwise
-from operator import attrgetter, ne
+from operator import attrgetter, ge, ne
 from pathlib import Path
 
 from .errors import AnalysisError
@@ -126,8 +126,11 @@ def _watch_set(topo: Topology, fm: FaultModel, area: frozenset[int]) -> list[int
 
 def is_area_legitimate(topo: Topology, fm: FaultModel, cfg: Config, area) -> bool:
     """Every correct process outside the area satisfies the spec predicate."""
-    area = _check_area(topo, fm, area)
-    return all(spec_holds(topo, fm, cfg, v) for v in _watch_set(topo, fm, area))
+    return _legitimate(topo, fm, cfg, _watch_set(topo, fm, _check_area(topo, fm, area)))
+
+
+def _legitimate(topo: Topology, fm: FaultModel, cfg: Config, watch: list[int]) -> bool:
+    return all(spec_holds(topo, fm, cfg, v) for v in watch)
 
 
 def is_area_stable(
@@ -146,8 +149,12 @@ def is_area_stable(
     them changing state.  Returns None (indeterminate, distinct from False)
     if the budget runs out first.
     """
-    area = _check_area(topo, fm, area)
-    watch = _watch_set(topo, fm, area)
+    return _stable(topo, fm, cfg, _watch_set(topo, fm, _check_area(topo, fm, area)), budget)
+
+
+def _stable(
+    topo: Topology, fm: FaultModel, cfg: Config, watch: list[int], budget: int | None
+) -> bool | None:
     if any(is_enabled(topo, cfg, v) for v in watch):
         return False
 
@@ -164,12 +171,23 @@ def is_area_stable(
     return None if enabled_set(topo, fm, final) else True
 
 
+def _basin(topo: Topology, fm: FaultModel, area, anchors: list[int]):
+    """The predicate of containment in ``area``: the level floor holds at
+    the diameter and every correct process outside the area satisfies the
+    spec predicate.  ``anchors`` is each process's distance to the nearest
+    of the root and the Byzantine set; the floor at the diameter is every
+    level at least its anchor, since no anchor exceeds the diameter."""
+    watch = _watch_set(topo, fm, _check_area(topo, fm, area))
+    level = attrgetter("level")
+
+    def holds(cfg: Config) -> bool:
+        return all(map(ge, map(level, cfg), anchors)) and _legitimate(topo, fm, cfg, watch)
+
+    return holds
+
+
 def _contained(topo: Topology, fm: FaultModel, cfg: Config, area) -> bool:
-    # The level floor holds at the diameter and every correct process
-    # outside the area satisfies the spec predicate.
-    return level_floor_holds(topo, fm, cfg, topo.diameter) and is_area_legitimate(
-        topo, fm, cfg, area
-    )
+    return _basin(topo, fm, area, _nearest(topo, fm.byzantine | {topo.root}))(cfg)
 
 
 def is_contained(
@@ -309,8 +327,8 @@ def _segments(
             # the negation of each clause of its guard, and at the root both
             # mean (bottom, 0).  So only the stability run is left to ask.
             ok = False
-            if is_area_legitimate(topo, fm, cfg, area):
-                stable = is_area_stable(topo, fm, cfg, area, budget)
+            if _legitimate(topo, fm, cfg, watch):
+                stable = _stable(topo, fm, cfg, watch, budget)
                 if stable is None:
                     raise AnalysisError(
                         "area stability undecided at candidate boundary",
@@ -396,12 +414,11 @@ def measure(ex: Execution, areas: ContainmentAreas | None = None) -> Stabilizati
     topo, fm = ex.topo, ex.fm
     areas = areas or compute_containment_areas(topo, fm)
     idx = _Index(ex)
-    first_contained = idx.first(lambda cfg: is_contained(topo, fm, cfg, areas))
+    anchors = _nearest(topo, fm.byzantine | {topo.root})
+    first_contained = idx.first(_basin(topo, fm, areas.near, anchors))
     first_strong = None
     if first_contained is not None:
-        first_strong = idx.first(
-            lambda cfg: is_strongly_contained(topo, fm, cfg, areas), first_contained
-        )
+        first_strong = idx.first(_basin(topo, fm, areas.strictly_near, anchors), first_contained)
     if first_strong is None:
         return StabilizationMetrics(
             first_contained=first_contained,

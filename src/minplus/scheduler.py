@@ -23,10 +23,13 @@ window of activation opportunities is forcibly activated (window = process
 count; for the central daemon the window counts the steps in which some
 correct process acted, since Byzantine-write steps are not opportunities).
 Runs are a deterministic function of their inputs and seed, and every
-stored transition can be replayed bit-exactly.  Once no correct process is
-enabled, a periodic adversary (``Adversary.phase``) that brings back an
-earlier configuration and phase closes a cycle, and the rest of the run
-repeats it without asking the adversary again.
+stored transition can be replayed bit-exactly.  A step is forced when the
+daemon's choice cannot change it: no correct process is enabled, the daemon
+activates every enabled process, or a distributed daemon has exactly one to
+pick.  In an unbroken stretch of forced steps, a periodic adversary
+(``Adversary.phase``) that brings back an earlier configuration and phase
+closes a cycle, and the rest of the run repeats it without asking the
+adversary again.
 """
 
 from __future__ import annotations
@@ -247,13 +250,18 @@ def _drive(
     steps_done = 0
     pred_hit: int | None = None
     script_pos = 0
-    # While no correct process is enabled the daemon draws nothing and the
-    # central daemon gives every slot to the Byzantine write, so under a
-    # periodic adversary a step depends only on the configuration and the
-    # adversary's phase.  ``quiet`` maps those of each step of the current
-    # quiet stretch to its step number; the first repeat closes a cycle,
-    # which the rest of the run repeats.
-    quiet: dict[tuple, int] | None = {} if daemon.fairness != SCRIPT else None
+    # Whether a step is forced (see the module docstring) depends only on
+    # the configuration: a distributed daemon's one enabled process acts
+    # whatever its coins say, and with nothing enabled the central daemon
+    # gives every slot to the Byzantine write.  So under a periodic
+    # adversary a forced step depends only on the configuration and the
+    # adversary's phase.  ``forced`` maps those of each step of the current
+    # forced stretch to its step number; the first repeat closes a cycle,
+    # which the rest of the run repeats.  The central daemon's alternation
+    # and starvation stamps lie outside that key, so its steps are forced
+    # only while nothing correct is enabled.
+    forced: dict[tuple, int] | None = {} if daemon.fairness != SCRIPT else None
+    lone_forced = daemon.kind == DISTRIBUTED
     base = len(ex.steps)
 
     while steps_done < stop.max_steps:
@@ -263,13 +271,13 @@ def _drive(
                 pred_hit = steps_done
             if pred_hit is not None and steps_done - pred_hit >= stop.extra_after:
                 break
-        if since:
-            if quiet:
-                quiet.clear()
-        elif quiet is not None and (stop.predicate is None or pred_hit is not None):
+        if since and not every and (len(since) > 1 or not lone_forced):
+            if forced:
+                forced.clear()
+        elif forced is not None and (stop.predicate is None or pred_hit is not None):
             phase = adversary.phase(len(ex.configs))
             if phase is not None:
-                first = quiet.setdefault((id(cfg), phase), steps_done)
+                first = forced.setdefault((id(cfg), phase), steps_done)
                 if first != steps_done:
                     end = stop.max_steps
                     if pred_hit is not None:

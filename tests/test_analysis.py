@@ -48,6 +48,7 @@ from minplus import (
     trace_text,
     violations,
 )
+import minplus.analysis
 from minplus.scenarios import corrupted_config, random_config
 
 from _oracles import (
@@ -329,6 +330,19 @@ class TestContainmentBasins:
         assert not is_contained(topo, fm, low)
 
 
+def counted(monkeypatch, name):
+    # The argument tuples of every call to ``minplus.analysis.<name>``.
+    calls = []
+    fn = getattr(minplus.analysis, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(minplus.analysis, name, wrapper)
+    return calls
+
+
 class TestSegments:
     def test_no_watch_changes_no_segments(self):
         topo, fm = path_case(5)
@@ -371,6 +385,14 @@ class TestSegments:
         with pytest.raises(AnalysisError) as info:
             segment_disruptions(ex, {4}, budget=0)
         assert info.value.step_index is not None
+
+    def test_the_area_is_checked_once_per_call(self, monkeypatch):
+        # Every candidate boundary reads the one validated area and watch
+        # set that segmentation builds at its start.
+        checked, watched = counted(monkeypatch, "_check_area"), counted(monkeypatch, "_watch_set")
+        ex = replay_ta_strong_impossibility({3}, cycles=5)
+        assert len(segment_disruptions(ex, {3})) >= 5
+        assert (len(checked), len(watched)) == (1, 1)
 
 
 class TestCounts:
@@ -459,6 +481,25 @@ class TestMeasure:
         for v, k in m.changes_by_process.items():
             if v not in areas.strictly_near:
                 assert k <= topo.max_degree
+
+    def test_the_anchor_row_is_built_once(self, monkeypatch):
+        # Both basins of every distinct configuration read one row of
+        # distances to the nearest of the root and the Byzantine set.
+        topo, fm = hexagon_topology()
+        areas = compute_containment_areas(topo, fm)
+        ex = run(
+            topo,
+            fm,
+            corrupted_config(topo, fm),
+            DaemonPolicy(),
+            Oscillator(1),
+            StopCriterion(max_steps=1000),
+            seed=1,
+        )
+        rows = counted(monkeypatch, "_nearest")
+        m = measure(ex, areas)
+        assert m.first_strongly_contained >= m.first_contained > 0
+        assert rows == [(topo, fm.byzantine | {topo.root})]
 
     def test_never_contained_reports_none(self):
         topo, fm = path_case(5, byz=[4])

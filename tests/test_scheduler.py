@@ -730,7 +730,7 @@ def test_engine_agrees_with_the_reference_step_on_long_runs(case):
 
 
 # ---------------------------------------------------------------------------
-# The quiet-cycle fast-forward against the step-by-step path.
+# The forced-cycle fast-forward against the step-by-step path.
 # ---------------------------------------------------------------------------
 
 
@@ -745,15 +745,25 @@ class StepwiseOscillator(Oscillator):
 @st.composite
 def quiet_cases(draw):
     n = draw(st.integers(2, 8))
-    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    shape = draw(st.sampled_from(["any", "shielded", "lone"] if n > 3 else ["any", "shielded"]))
+    # In the "lone" shape process m is a Byzantine leaf whose one neighbour,
+    # far = m - 1, is not a neighbour of the root.  So far follows it, and
+    # can stay the one enabled process for good.
+    m = n - 1 if shape == "lone" else n
+    far = m - 1 if shape == "lone" else None
+    edges = [(draw(st.integers(1 if v == far else 0, v - 1)), v) for v in range(1, m)]
     edges += [
         (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in edges and draw(st.booleans())
+        for u in range(m)
+        for v in range(u + 1, m)
+        if (u, v) not in edges and (u, v) != (0, far) and draw(st.booleans())
     ]
-    byz = draw(st.lists(st.integers(1, n - 1), unique=True, min_size=1, max_size=2))
-    if draw(st.booleans()):
+    if shape == "lone":
+        edges.append((far, m))
+        byz = [m]
+    else:
+        byz = draw(st.lists(st.integers(1, n - 1), unique=True, min_size=1, max_size=2))
+    if shape == "shielded":
         # Every neighbour of a Byzantine process is also one of the root's,
         # so its level stays 1 whatever the Byzantine one writes, and a run
         # soon goes quiet.
@@ -839,25 +849,63 @@ def test_a_script_ends_a_quiet_periodic_run():
     assert ex.step_count == 30
 
 
+class CountedOscillator(Oscillator):
+    """An Oscillator that records each step at which it is asked."""
+
+    def __init__(self, period):
+        super().__init__(period)
+        self.asked = []
+
+    def writes(self, topo, fm, configs, step_index):
+        self.asked.append(step_index)
+        return super().writes(topo, fm, configs, step_index)
+
+
+def counted_run(topo, fm, init, daemon, period, seed):
+    # The fast run, how often it asked the adversary, and the stepwise run.
+    stop = StopCriterion(max_steps=1000)
+    adversary = CountedOscillator(period)
+    ex = run(topo, fm, init, daemon, adversary, stop, seed)
+    slow = run(topo, fm, init, daemon, StepwiseOscillator(period), stop, seed)
+    assert ex.steps == slow.steps and ex.configs == slow.configs
+    assert ex.step_count == 1000 and verify_replay(ex) is None
+    return ex, len(adversary.asked)
+
+
 def test_a_quiet_oscillating_tail_is_repeated_without_asking_the_adversary():
     # Process 1 keeps level 1 under the root whatever its Byzantine
     # neighbour 2 holds, so once the tree is built nothing correct moves.
     topo, fm = path_case(3, byz=[2])
     tree = tuple(ProcState(None, 0) if v == 0 else ProcState(v - 1, v) for v in range(3))
-    asked = []
+    _, asked = counted_run(topo, fm, tree, DaemonPolicy(DISTRIBUTED, RANDOM), 2, seed=3)
+    assert asked < 50
 
-    class Counted(Oscillator):
-        def writes(self, topo, fm, configs, step_index):
-            asked.append(step_index)
-            return super().writes(topo, fm, configs, step_index)
 
-    stop = StopCriterion(max_steps=1000)
-    daemon = DaemonPolicy(DISTRIBUTED, RANDOM)
-    ex = run(topo, fm, tree, daemon, Counted(2), stop, seed=3)
-    assert len(asked) < 50
-    slow = run(topo, fm, tree, daemon, StepwiseOscillator(2), stop, seed=3)
-    assert ex.steps == slow.steps and ex.configs == slow.configs
-    assert ex.step_count == 1000 and verify_replay(ex) is None
+@pytest.mark.parametrize("kind", [DISTRIBUTED, SYNCHRONOUS])
+def test_a_tail_with_one_enabled_process_is_repeated_without_asking_the_adversary(kind):
+    # Process 2 follows its Byzantine neighbour 3 to level 1 and back to
+    # level 2 under process 1, so from the first step it is the one enabled
+    # process at every step, and it acts whatever the daemon's coins say.
+    topo, fm = path_case(4, byz=[3])
+    init = tuple(ProcState(None, 0) for _ in range(4))
+    ex, asked = counted_run(topo, fm, init, DaemonPolicy(kind, RANDOM), 1, seed=3)
+    assert {len(enabled_set(topo, fm, cfg)) for cfg in ex.configs[1:]} == {1}
+    assert asked < 50
+
+
+def test_a_choice_between_two_enabled_processes_is_asked_at_every_step():
+    # Processes 2 and 5 each follow their own Byzantine leaf, 3 and 6, and
+    # stay enabled while the daemon activates them; one left out goes quiet
+    # for a step and is enabled again at the next.  So the daemon's coins
+    # pick between two processes all along, and no stretch of forced steps
+    # is long enough to close a cycle.
+    topo = Topology.from_edges(7, 0, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+    fm = make_fault_model(topo, [3, 6])
+    init = tuple(ProcState(None, 0) for _ in range(7))
+    ex, asked = counted_run(topo, fm, init, DaemonPolicy(DISTRIBUTED, RANDOM), 1, seed=3)
+    sizes = [len(enabled_set(topo, fm, cfg)) for cfg in ex.configs]
+    assert sizes.count(2) > 300 and min(sizes[1:]) >= 1
+    assert asked == 1000
 
 
 # ---------------------------------------------------------------------------
