@@ -47,7 +47,6 @@ from .analysis import (
 from .errors import (
     AnalysisError,
     ContractViolation,
-    FairnessViolation,
     GenerationError,
     ScenarioError,
 )

@@ -223,8 +223,9 @@ def advise(
 
 
 def parse_script(text: str) -> list[tuple[int, int, ProcState]]:
-    """Parse "step id prnt level" lines (prnt = -1 encodes bottom)."""
+    """Parse "step id prnt level" lines (prnt = -1 encodes bottom, step >= 1)."""
     items = []
+    seen: set[tuple[int, int]] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -233,6 +234,11 @@ def parse_script(text: str) -> list[tuple[int, int, ProcState]]:
         if len(parts) != 4:
             raise ValueError(f"malformed script line: {raw!r}")
         step_idx, proc = map(canonical_int, parts[:2])
+        if step_idx < 1:
+            raise ValueError(f"script step below 1, which no run reaches: {raw!r}")
+        if (step_idx, proc) in seen:
+            raise ValueError(f"script writes process {proc} twice at step {step_idx}: {raw!r}")
+        seen.add((step_idx, proc))
         items.append((step_idx, proc, parse_state(*parts[2:])))
     return items
 

@@ -165,7 +165,7 @@ def _stable(
     daemon = DaemonPolicy(SYNCHRONOUS, ROUND_ROBIN)
     # From cfg as it is: ``run`` would first reset corrupt parents to bottom.
     ex = Execution(topo, fm, daemon, 0, Silent.name, configs=[cfg])
-    final = continue_run(ex, daemon, Silent(), stop).final()
+    final = continue_run(ex, Silent(), stop).final()
     if moved(final):
         return False
     return None if enabled_set(topo, fm, final) else True

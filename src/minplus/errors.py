@@ -7,18 +7,6 @@ class ContractViolation(Exception):
     """An operation was invoked contrary to its stated precondition."""
 
 
-class FairnessViolation(Exception):
-    """A scripted schedule starved a continuously enabled process."""
-
-    def __init__(self, process: int, window: tuple[int, int]):
-        self.process = process
-        self.window = window
-        super().__init__(
-            f"process {process} enabled but never activated in steps "
-            f"{window[0]}..{window[1]}"
-        )
-
-
 class GenerationError(Exception):
     """A random topology could not be generated within the retry budget."""
 

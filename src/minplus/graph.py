@@ -189,15 +189,18 @@ NO_FAULTS = FaultModel(frozenset())
 
 
 def make_fault_model(topo: Topology, byzantine) -> FaultModel:
-    """Validate Byzantine ids against a topology. The root is never Byzantine."""
-    byz = frozenset(byzantine)
-    for b in byz:
+    """Validate Byzantine ids against a topology: each given once, never the root."""
+    byz: set[int] = set()
+    for b in byzantine:
         topo._check(b)
+        if b in byz:
+            raise ValueError(f"Byzantine process {b} given twice")
+        byz.add(b)
     if topo.root in byz:
         raise ValueError(f"root {topo.root} cannot be Byzantine")
     if len(byz) > topo.process_count - 1:
         raise ValueError("at most n-1 Byzantine processes")
-    return FaultModel(byz)
+    return FaultModel(frozenset(byz))
 
 
 @dataclass(frozen=True)

@@ -264,11 +264,11 @@ def _replay_cycles(
     )
     _expect(ex, "converge-two-sided", two_sided)
     for k in range(cycles):
-        continue_run(ex, _CENTRAL_RR, WellBehaved(), quiesce, seed)
+        continue_run(ex, WellBehaved(), quiesce, seed)
         _expect(ex, f"cycle{k}-converge-tree", tree)
-        continue_run(ex, _CENTRAL_RR, FakeRoot(), StopCriterion(max_steps=1), seed)
+        continue_run(ex, FakeRoot(), StopCriterion(max_steps=1), seed)
         _expect(ex, f"cycle{k}-reset", reset)
-        continue_run(ex, _CENTRAL_RR, MirrorRoot(), quiesce, seed)
+        continue_run(ex, MirrorRoot(), quiesce, seed)
         _expect(ex, f"cycle{k}-return-two-sided", two_sided)
     # The engine interns across the continue_run calls, so each distinct
     # configuration and record of the whole replay is one object, and the

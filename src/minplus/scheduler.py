@@ -16,7 +16,8 @@ pre-step configuration.  Three daemons are supported:
 
 So distributed round-robin, synchronous round-robin and synchronous random
 are one daemon and make the same executions; a trace still records the
-daemon as it was given.
+daemon as it was given.  A hand-chosen schedule is an ``Execution`` built
+with ``protocol.step``, which rejects activating a disabled process.
 
 Fairness is bounded: a correct process continuously enabled across a full
 window of activation opportunities is forcibly activated (window = process
@@ -42,7 +43,7 @@ from pathlib import Path
 from typing import Callable
 
 from .adversary import Adversary, advise
-from .errors import ContractViolation, FairnessViolation
+from .errors import ContractViolation
 from .graph import (
     FaultModel,
     Topology,
@@ -70,12 +71,12 @@ SYNCHRONOUS = "synchronous"
 
 ROUND_ROBIN = "round_robin"
 RANDOM = "random"
-SCRIPT = "script"
 
 
 @dataclass(frozen=True)
 class DaemonPolicy:
-    """Which enabled correct processes act in each step (see the module
+    """Which enabled correct processes act in each step: a daemon kind and
+    a fairness policy, ``round_robin`` or ``random`` (see the module
     docstring).  ``(distributed, round_robin)``, ``(synchronous,
     round_robin)`` and ``(synchronous, random)`` all activate every enabled
     process, so they run alike; they stay distinct values, and a trace
@@ -83,21 +84,15 @@ class DaemonPolicy:
 
     kind: str = DISTRIBUTED
     fairness: str = RANDOM
-    script: tuple[frozenset[int], ...] | None = None
 
     def __post_init__(self):
         if self.kind not in (CENTRAL, DISTRIBUTED, SYNCHRONOUS):
             raise ValueError(f"unknown daemon kind {self.kind!r}")
-        if self.fairness not in (ROUND_ROBIN, RANDOM, SCRIPT):
+        if self.fairness not in (ROUND_ROBIN, RANDOM):
             raise ValueError(f"unknown fairness policy {self.fairness!r}")
-        if (self.fairness == SCRIPT) != (self.script is not None):
-            raise ValueError("a script is required iff fairness is 'script'")
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "fairness": self.fairness}
-        if self.script is not None:
-            d["script"] = [sorted(s) for s in self.script]
-        return d
+        return {"kind": self.kind, "fairness": self.fairness}
 
 
 @dataclass(frozen=True)
@@ -196,30 +191,23 @@ def run(
         adversary_desc=adversary.describe(),
         configs=[init],
     )
-    return continue_run(ex, daemon, adversary, stop, seed)
+    return continue_run(ex, adversary, stop, seed)
 
 
 def continue_run(
     ex: Execution,
-    daemon: DaemonPolicy,
     adversary: Adversary,
     stop: StopCriterion,
     seed: int = 0,
 ) -> Execution:
-    """Extend an execution in place from its final configuration."""
+    """Extend an execution in place from its final configuration under ``ex.daemon``."""
     adversary.reset(ex.topo, ex.fm)
-    _drive(ex, daemon, adversary, stop, seed)
+    _drive(ex, adversary, stop, seed)
     return ex
 
 
-def _drive(
-    ex: Execution,
-    daemon: DaemonPolicy,
-    adversary: Adversary,
-    stop: StopCriterion,
-    seed: int,
-) -> None:
-    topo, fm = ex.topo, ex.fm
+def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) -> None:
+    topo, fm, daemon = ex.topo, ex.fm, ex.daemon
     byzantine = fm.byzantine
     neighbors = topo.neighbors
     rng = random.Random(seed)
@@ -249,7 +237,6 @@ def _drive(
     )
     steps_done = 0
     pred_hit: int | None = None
-    script_pos = 0
     # Whether a step is forced (see the module docstring) depends only on
     # the configuration: a distributed daemon's one enabled process acts
     # whatever its coins say, and with nothing enabled the central daemon
@@ -260,7 +247,7 @@ def _drive(
     # which the rest of the run repeats.  The central daemon's alternation
     # and starvation stamps lie outside that key, so its steps are forced
     # only while nothing correct is enabled.
-    forced: dict[tuple, int] | None = {} if daemon.fairness != SCRIPT else None
+    forced: dict[tuple, int] = {}
     lone_forced = daemon.kind == DISTRIBUTED
     base = len(ex.steps)
 
@@ -274,7 +261,7 @@ def _drive(
         if since and not every and (len(since) > 1 or not lone_forced):
             if forced:
                 forced.clear()
-        elif forced is not None and (stop.predicate is None or pred_hit is not None):
+        elif stop.predicate is None or pred_hit is not None:
             phase = adversary.phase(len(ex.configs))
             if phase is not None:
                 first = forced.setdefault((id(cfg), phase), steps_done)
@@ -297,20 +284,7 @@ def _drive(
         # A process of age window - 1 or more is starved: it must act now.
         starved_since = slots - window + 1
 
-        if daemon.fairness == SCRIPT:
-            if script_pos >= len(daemon.script):
-                break
-            wanted = daemon.script[script_pos]
-            script_pos += 1
-            bad = wanted - since.keys()
-            if bad:
-                raise ContractViolation(
-                    f"script activates disabled or Byzantine processes {sorted(bad)}"
-                )
-            if daemon.kind == CENTRAL and len(wanted) + (1 if writes else 0) > 1:
-                raise ContractViolation("central daemon: one process per step")
-            activated = list(wanted)
-        elif idle:
+        if idle:
             pass  # the adversary is not done but writes nothing this step
         elif every:
             activated = list(since)
@@ -376,12 +350,6 @@ def _drive(
         for v in on:
             if v not in since:
                 since[v] = slots
-        if daemon.fairness == SCRIPT:
-            late = [v for v, t in since.items() if slots - t >= window]
-            if late:
-                raise FairnessViolation(
-                    min(late), (steps_done - window + 1, steps_done)
-                )
 
 
 def _by_id(items) -> dict:
@@ -552,27 +520,13 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
     # JSON writes these back as it read them, so the check of the head's
     # bytes below cannot catch a value of the wrong type.
     seed, adversary_desc, extra = meta["seed"], meta["adversary"], meta.get("config", {})
-    daemon_d = meta["daemon"]
-    script = daemon_d["script"] if "script" in daemon_d else None
     if type(seed) is not int:
         raise ValueError(f"trace header seed {seed!r} is not an integer")
     if type(adversary_desc) is not str:
         raise ValueError(f"trace header adversary {adversary_desc!r} is not a string")
     if type(extra) is not dict:
         raise ValueError(f"trace header config {extra!r} is not an object")
-    if script is not None and not (
-        type(script) is list
-        and all(
-            type(ids) is list and all(type(v) is int and 0 <= v < n for v in ids)
-            for ids in script
-        )
-    ):
-        raise ValueError(f"trace header daemon script {script!r} is not lists of process ids")
-    daemon = DaemonPolicy(
-        kind=daemon_d["kind"],
-        fairness=daemon_d["fairness"],
-        script=None if script is None else tuple(map(frozenset, script)),
-    )
+    daemon = DaemonPolicy(meta["daemon"]["kind"], meta["daemon"]["fairness"])
     ex = Execution(
         topo=topo,
         fm=fm,

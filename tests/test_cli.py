@@ -404,6 +404,39 @@ class TestExitCodes:
         assert code == 2
         assert "non-Byzantine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            # No run asks about step 0 or below, so these writes were dropped.
+            ("0 3 -1 0\n-2 3 -1 0\n", "script step below 1, which no run reaches: '0 3 -1 0'"),
+            # The later write used to win: the trace had byz=3:2:9.
+            ("1 3 -1 0\n1 3 2 9\n", "script writes process 3 twice at step 1: '1 3 2 9'"),
+        ],
+        ids=["step-below-1", "same-step-twice"],
+    )
+    def test_script_write_no_run_would_make(self, tmp_path, capsys, text, error):
+        script = tmp_path / "lost.script"
+        script.write_text(text, encoding="utf-8")
+        code = main(["run", "--scenario", "path n=4 byz=3", "--adversary", f"scripted:{script}"])
+        assert code == 2
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["areas", "--topology", "TOPO"],
+            ["areas", "--scenario", "path n=4", "--byz", "3,3"],
+            ["run", "--scenario", "path n=4 byz=3,3"],
+        ],
+        ids=["topology-file", "byz-flag", "scenario"],
+    )
+    def test_byzantine_id_given_twice(self, tmp_path, capsys, args):
+        # Each used to run with byzantine [3].
+        topo_file = tmp_path / "path.topo"
+        topo_file.write_text("4 0\n0 1\n1 2\n2 3\nbyz 3 3\n", encoding="utf-8")
+        assert main([str(topo_file) if a == "TOPO" else a for a in args]) == 2
+        assert "Byzantine process 3 given twice" in capsys.readouterr().err
+
     def test_trace_activating_a_disabled_process_is_a_failed_check(
         self, tmp_path, capsys
     ):
@@ -566,8 +599,6 @@ class TestExitCodes:
             ("seed", 1.5),
             ("seed", True),
             ("adversary", 5),
-            ("daemon", {"fairness": "script", "kind": "distributed", "script": [["a"], [1.5]]}),
-            ("daemon", {"fairness": "script", "kind": "distributed", "script": [[4]]}),
             ("config", [1]),
         ],
     )
@@ -582,6 +613,20 @@ class TestExitCodes:
         trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["replay", "--trace", str(trace)]) == 2
         assert f"trace header {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "script", [[["a"], [1.5]], [[4]], [[1]]], ids=["not-ids", "out-of-range", "ids"]
+    )
+    def test_trace_header_with_a_script_daemon(self, tmp_path, capsys, script):
+        # A schedule is no daemon, so a header naming one does not load.
+        trace = self.oscillator_trace(tmp_path, 1, "step 1 ", "step 1 ")
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[1])
+        header["daemon"] = {"fairness": "script", "kind": "distributed", "script": script}
+        lines[1] = json.dumps(header, sort_keys=True)
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["replay", "--trace", str(trace)]) == 2
+        assert "unknown fairness policy 'script'" in capsys.readouterr().err
 
     def test_negative_step_budget(self, capsys):
         code = main(["run", "--scenario", "path n=4", "--max-steps", "-5"])

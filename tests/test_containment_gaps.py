@@ -9,7 +9,9 @@ documented and stable: the simulator reproduces them exactly.
    stale level, once more when that neighbor settles.  The per-process
    activation bound therefore starts at the first *strongly* contained
    configuration, where the chained frontier is already correct.  The claw
-   run stays within the bound counted from there, and the bound checkers
+   execution is built from three ``step`` calls, one activation each, so
+   every one is checked against the guard.  It stays within the bound
+   counted from strong containment, and the bound checkers
    (`minplus.violations`, which `minplus run --check-bounds` and
    `minplus exhaustive` report from) count from there too.
 
@@ -22,9 +24,13 @@ documented and stable: the simulator reproduces them exactly.
 """
 
 from minplus import (
+    DISTRIBUTED,
+    RANDOM,
     DaemonPolicy,
+    Execution,
     ProcState,
     Silent,
+    StepRecord,
     StopCriterion,
     Topology,
     activation_counts,
@@ -37,6 +43,8 @@ from minplus import (
     measure,
     run,
     spec_holds,
+    step,
+    verify_replay,
     violations,
 )
 
@@ -60,17 +68,17 @@ class TestChainedFrontierActivations:
         assert not any(u in shielded for u in topo.neighbors[2])  # chained
 
     def claw_run(self):
+        # Processes 2, 1, 2 act in turn and the Byzantine leaf stays silent;
+        # ``step`` rejects each activation of a disabled process.
         topo, fm = claw_with_byzantine_leaf()
         cfg = (ProcState(BOT, 0), ProcState(0, 4), ProcState(1, 4), ProcState(BOT, 0))
-        script = (frozenset({2}), frozenset({1}), frozenset({2}))
-        return run(
-            topo,
-            fm,
-            cfg,
-            DaemonPolicy("distributed", "script", script=script),
-            Silent(),
-            StopCriterion(max_steps=3),
-        )
+        daemon = DaemonPolicy(DISTRIBUTED, RANDOM)
+        ex = Execution(topo, fm, daemon, 0, Silent().describe(), configs=[cfg])
+        for v in (2, 1, 2):
+            ex.configs.append(step(topo, fm, ex.configs[-1], {v}))
+            ex.steps.append(StepRecord(activated=frozenset({v}), byz_writes=()))
+        assert verify_replay(ex) is None
+        return ex
 
     def test_two_forced_activations_from_a_contained_configuration(self):
         ex = self.claw_run()

@@ -16,7 +16,6 @@ from minplus import (
     Adversary,
     ContractViolation,
     DaemonPolicy,
-    FairnessViolation,
     FakeRoot,
     MirrorRoot,
     Oscillator,
@@ -38,7 +37,7 @@ from minplus import (
     verify_replay,
     write_trace,
 )
-from minplus.scheduler import RANDOM, SCRIPT, parse_trace
+from minplus.scheduler import RANDOM, parse_trace
 
 from _oracles import (
     floyd_warshall,
@@ -361,59 +360,6 @@ class TestFairness:
         raw = daemon.kind != CENTRAL
         assert max_starvation(ex, count_byz_only_steps=raw) < topo.process_count
 
-    def test_script_runs_the_given_sets(self):
-        topo, fm = path_case(3)
-        script = (frozenset({1}), frozenset({2}))
-        ex = run(
-            topo,
-            fm,
-            (ProcState(None, 0), ProcState(None, 5), ProcState(None, 5)),
-            DaemonPolicy(DISTRIBUTED, "script", script=script),
-            Silent(),
-            StopCriterion(max_steps=10),
-        )
-        assert [sorted(r.activated) for r in ex.steps] == [[1], [2]]
-
-    def test_script_cannot_activate_disabled_process(self):
-        topo, fm = path_case(3)
-        script = (frozenset({1}), frozenset({1}))
-        with pytest.raises(ContractViolation):
-            run(
-                topo,
-                fm,
-                (ProcState(None, 0), ProcState(None, 5), ProcState(2, 9)),
-                DaemonPolicy(DISTRIBUTED, "script", script=script),
-                Silent(),
-                StopCriterion(max_steps=10),
-            )
-
-    def test_central_script_step_cannot_ride_along_a_byzantine_write(self):
-        topo, fm = path_case(3, byz=[2])
-        with pytest.raises(ContractViolation, match="central daemon: one process per step"):
-            run(
-                topo,
-                fm,
-                (ProcState(None, 0), ProcState(None, 5), ProcState(None, 0)),
-                DaemonPolicy(CENTRAL, SCRIPT, script=(frozenset({1}),)),
-                FixedWrites({2: ProcState(1, 7)}),
-                StopCriterion(max_steps=10),
-            )
-
-    def test_starving_script_is_rejected_with_the_culprit(self):
-        topo, fm = path_case(3)
-        script = (frozenset({1}),) + (frozenset(),) * 5
-        with pytest.raises(FairnessViolation) as info:
-            run(
-                topo,
-                fm,
-                (ProcState(None, 0), ProcState(None, 5), ProcState(None, 5)),
-                DaemonPolicy(DISTRIBUTED, "script", script=script),
-                Silent(),
-                StopCriterion(max_steps=10),
-            )
-        assert info.value.process == 2
-        assert info.value.window[1] >= info.value.window[0]
-
 
 class TestReplayAndTraces:
     def make_run(self):
@@ -537,6 +483,12 @@ def test_negative_step_budget_is_rejected():
         StopCriterion(max_steps=-5)
 
 
+def test_a_schedule_is_not_a_fairness_policy():
+    # A hand-chosen schedule is an Execution built with ``step``.
+    with pytest.raises(ValueError, match="unknown fairness policy 'script'"):
+        DaemonPolicy(DISTRIBUTED, "script")
+
+
 def test_step_budget_scales_with_size():
     topo, _ = path_case(5)
     assert step_budget(topo) == 50 * 5 * 4
@@ -561,7 +513,7 @@ def test_continue_run_keeps_one_intern_table_per_execution():
                 ex.configs[:] = [tuple(list(c)) for c in ex.configs]
                 gc.collect()
             start = len(ex.configs) - 1
-            continue_run(ex, daemon, adversary, stop, seed)
+            continue_run(ex, adversary, stop, seed)
             made = ex.configs[start:]
             assert len(set(map(id, made))) == len(set(made))
         return ex
@@ -570,6 +522,20 @@ def test_continue_run_keeps_one_intern_table_per_execution():
     assert copied.configs == plain.configs
     assert verify_replay(plain) is None and verify_replay(copied) is None
     assert len(set(map(id, plain.configs))) == len(set(plain.configs))
+
+
+@pytest.mark.parametrize("daemon", ALL_DAEMONS, ids=lambda d: f"{d.kind}-{d.fairness}")
+def test_a_continued_run_keeps_its_daemon(daemon):
+    # The rest of the run is what the execution's own daemon makes from its
+    # final configuration, so the trace names the daemon of every step.
+    topo, fm = path_case(8, byz=[7])
+    head, rest = StopCriterion(max_steps=5), StopCriterion(max_steps=50)
+    ex = run(topo, fm, corrupted(topo, fm), daemon, WellBehaved(), head, seed=1)
+    continue_run(ex, WellBehaved(), rest, 2)
+    fresh = run(topo, fm, ex.configs[5], daemon, WellBehaved(), rest, seed=2)
+    assert len(ex.steps) > 5
+    assert ex.steps[5:] == fresh.steps and ex.configs[5:] == fresh.configs
+    assert parse_trace(trace_text(ex)).daemon == daemon
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +778,7 @@ def quiet_run(case, kind):
     if before is None:
         return run(topo, fm, init, daemon, kind(period), stop, seed=seed)
     ex = run(topo, fm, init, daemon, kind(period), StopCriterion(max_steps=before), seed)
-    return continue_run(ex, daemon, kind(period), stop, seed + 1)
+    return continue_run(ex, kind(period), stop, seed + 1)
 
 
 @settings(max_examples=400, deadline=None)
@@ -839,14 +805,6 @@ def test_a_cycle_through_daemon_choices_is_not_repeated(daemon, period):
         fast = run(topo, fm, init, daemon, Oscillator(period), stop, seed)
         slow = run(topo, fm, init, daemon, StepwiseOscillator(period), stop, seed)
         assert fast.steps == slow.steps and fast.configs == slow.configs
-
-
-def test_a_script_ends_a_quiet_periodic_run():
-    topo, fm = path_case(3, byz=[2])
-    tree = tuple(ProcState(None, 0) if v == 0 else ProcState(v - 1, v) for v in range(3))
-    daemon = DaemonPolicy(CENTRAL, SCRIPT, script=(frozenset(),) * 30)
-    ex = run(topo, fm, tree, daemon, Oscillator(1), StopCriterion(max_steps=100))
-    assert ex.step_count == 30
 
 
 class CountedOscillator(Oscillator):
