@@ -20,8 +20,9 @@ import io
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, pairwise
-from operator import attrgetter, ge, ne
+from functools import partial
+from itertools import chain, compress, count, dropwhile, islice, pairwise, repeat
+from operator import and_, attrgetter, ge, is_, is_not, ne
 from pathlib import Path
 
 from .errors import AnalysisError
@@ -221,30 +222,60 @@ def is_strongly_contained(
 
 
 class _Index:
-    """One execution, read once per distinct configuration and transition.
+    """One execution, read once per distinct configuration and transition,
+    and once per period of its repeating tail.
 
     Configurations are named by identity: the engine and ``parse_trace``
     intern them, so a run's repeated configurations are one object.  An
     execution that is not interned is read just as correctly, with fewer
     repeats.  Per-step sequences are streamed through C-level passes, so no
-    Python loop runs once per step and nothing per step is kept.  The index
-    lives for one call only, since ``ex.configs`` may change between calls.
+    Python loop runs once per step and nothing per step is kept.
+
+    The tail (see ``_tail``) is proved by identity, never trusted.  A pass
+    from configuration ``lo`` reads up to ``head(lo)``, one whole period
+    into the tail, and folds in the rest from that period, so it costs the
+    prefix plus one or two periods.  The index lives for one call of a
+    public pass, or one ``violations`` call, since ``ex.configs`` may
+    change between calls.
     """
 
     def __init__(self, ex: Execution):
         self.ex = ex
-        self.configs = ex.configs
+        self.configs = configs = ex.configs
+        self.end = len(configs) - 1
+        self.start, self.period = _tail(configs, ex.steps)
         # Each distinct configuration under its id, in order of first
-        # appearance.
-        self.config = _by_id(ex.configs)
+        # appearance; none first appears after the tail's first period.
+        self.config = _by_id(configs[: self.start + self.period])
         fm = ex.fm
         self.correct = [v for v in ex.topo.processes() if fm.is_correct(v)]
         self._watched: dict[tuple[int, ...], _Memo] = {}
+
+    def head(self, lo: int) -> int:
+        """The configuration up to which a pass from ``lo`` reads: steps
+        after it repeat the period of steps before it."""
+        return min(self.end, max(lo, self.start) + self.period)
 
     def pairs(self, lo: int = 0, hi: int | None = None):
         """The (before, after) id pair of each step after configuration
         ``lo``, up to configuration ``hi``."""
         return pairwise(map(id, islice(self.configs, lo, None if hi is None else hi + 1)))
+
+    def tally(self, items, lo: int, hi: int) -> Counter:
+        """``Counter(items(lo, hi))``, where ``items(a, b)`` yields something
+        for each step after configuration ``a`` up to ``b``; the steps past
+        ``head(lo)`` are counted as whole periods plus a remainder."""
+        p = self.period
+        if not p:
+            return Counter(items(lo, hi))
+        h = min(hi, self.head(lo))
+        out = Counter(items(lo, h))
+        if hi > h:
+            laps, rest = divmod(hi - h, p)
+            for key, times in Counter(items(h - p, h)).items():
+                out[key] += laps * times
+            out.update(items(h - p, h - p + rest))
+        return out
 
     def watched(self, watch: list[int]) -> _Memo:
         """Distinct (before, after) id pair -> the processes of ``watch`` it
@@ -263,19 +294,63 @@ class _Index:
 
     def changing_steps(self, watch: list[int], lo: int = 0) -> list[int]:
         """The steps after configuration ``lo`` that change a process of
-        ``watch``."""
-        return list(compress(count(lo + 1), map(self.watched(watch).__getitem__, self.pairs(lo))))
+        ``watch``.  Past ``head(lo)`` they are looked for only if the
+        period before it holds one."""
+        moves = self.watched(watch).__getitem__
+        h = self.head(lo)
+        found = list(compress(count(lo + 1), map(moves, self.pairs(lo, h))))
+        if found and found[-1] > h - self.period:
+            found += compress(count(h + 1), map(moves, self.pairs(h)))
+        return found
 
-    def first(self, holds, lo: int = 0) -> int | None:
-        """The first configuration index from ``lo`` whose configuration
-        satisfies ``holds``, asked once per distinct configuration."""
-        distinct = _by_id(self.configs[lo:]) if lo else self.config
-        for cfg in distinct.values():
+    def first(self, holds, since: Config | None = None) -> int | None:
+        """The first configuration index whose configuration satisfies
+        ``holds``, asked once per distinct configuration, in order of first
+        appearance from ``since`` (from the start when not given)."""
+        distinct = iter(self.config.values())
+        if since is not None:
+            distinct = dropwhile(partial(is_not, since), distinct)
+        for cfg in distinct:
             if holds(cfg):
                 # Equal configurations satisfy ``holds`` alike, and each was
                 # asked in order of first appearance.
-                return self.configs.index(cfg, lo)
+                return self.configs.index(cfg)
         return None
+
+
+def _index(ex) -> _Index:
+    # A pass handed an index where it takes an execution reads that index,
+    # so that one ``violations`` call reads the run once.
+    return ex if isinstance(ex, _Index) else _Index(ex)
+
+
+def _tail(configs: list[Config], steps: list) -> tuple[int, int]:
+    """``(start, period)``: from configuration ``start`` on, each
+    configuration and each record is the same object as the one ``period``
+    steps later.  The period is the lag back to the last step's
+    configuration and record; ``start`` is one past the last index, found
+    scanning back from the end, at which either list breaks that period.
+    Without such a lag, or when the lists do not pair up,
+    ``(len(configs), 0)``."""
+    n = len(steps)
+    if not n or len(configs) != n + 1:
+        return len(configs), 0
+    before, record = configs[-2], steps[-1]
+    lags = map(
+        and_,
+        map(is_, islice(reversed(configs), 2, None), repeat(before)),
+        map(is_, islice(reversed(steps), 1, None), repeat(record)),
+    )
+    p = next(compress(count(1), lags), None)
+    if p is None:
+        return len(configs), 0
+    start = 0
+    for seq, last in ((configs, n), (steps, n - 1)):
+        # seq[last - k] and seq[last - k - p], from k = 0 on.
+        k = next(compress(count(), map(is_not, reversed(seq), islice(reversed(seq), p, None))), None)
+        if k is not None:
+            start = max(start, last - k - p + 1)
+    return start, p
 
 
 @dataclass(frozen=True)
@@ -299,7 +374,7 @@ def segment_disruptions(
     outside the area.  Changes before the first such boundary, or after the
     last one, belong to no (completed) disruption.
     """
-    return _segments(_Index(ex), area, budget)
+    return _segments(_index(ex), area, budget)
 
 
 def _segments(
@@ -314,7 +389,6 @@ def _segments(
     if not changes:
         return []
     configs, watched = idx.configs, idx.watched(watch)
-    total = len(idx.ex.steps)
     # Whether a configuration is a boundary, by identity.
     memo: dict[int, bool] = {}
 
@@ -349,7 +423,8 @@ def _segments(
             bottom = c
             k += 1
             continue
-        end = next((j for j in range(c, total + 1) if anchor(j)), None)
+        # A boundary past head(c) would repeat one a period before it.
+        end = next((j for j in range(c, idx.head(c) + 1) if anchor(j)), None)
         if end is None:
             break
         touched = frozenset(v for pair in set(idx.pairs(start, end)) for v in watched[pair])
@@ -358,14 +433,25 @@ def _segments(
     return segments
 
 
+def _check_index(name: str, value: int, high: int) -> None:
+    if not 0 <= value <= high:
+        raise ValueError(f"{name}={value} outside 0..{high}")
+
+
 def activation_counts(ex: Execution, from_index: int = 0) -> dict[int, int]:
     """Per-process activation counts over the steps after configuration
-    ``from_index``."""
-    counts = {v: 0 for v in ex.topo.processes() if ex.fm.is_correct(v)}
-    # Activation sets are small, so one C-level count over their members
-    # beats counting distinct records, whose ids cost more to hash.
-    activated = map(attrgetter("activated"), islice(ex.steps, from_index, None))
-    for v, times in Counter(chain.from_iterable(activated)).items():
+    ``from_index``, which must lie in 0..the last configuration."""
+    idx = _index(ex)
+    steps = idx.ex.steps
+    _check_index("from_index", from_index, idx.end)
+
+    def activated(lo: int, hi: int):
+        # Activation sets are small, so one C-level count over their members
+        # beats counting distinct records, whose ids cost more to hash.
+        return chain.from_iterable(map(attrgetter("activated"), islice(steps, lo, hi)))
+
+    counts = dict.fromkeys(idx.correct, 0)
+    for v, times in idx.tally(activated, from_index, len(steps)).items():
         counts[v] += times
     return counts
 
@@ -374,19 +460,23 @@ def change_counts(
     ex: Execution, from_index: int = 0, to_index: int | None = None
 ) -> dict[int, int]:
     """Per-process output-variable change counts in the steps after
-    configuration ``from_index`` (up to ``to_index`` when given).
+    configuration ``from_index`` up to ``to_index`` (the last configuration
+    when not given); 0 <= from_index <= to_index <= the last configuration.
 
     An activation that rewrites identical values does not count as a change.
     """
-    return _change_counts(_Index(ex), from_index, to_index)
-
-
-def _change_counts(idx: _Index, from_index: int, to_index: int | None) -> dict[int, int]:
+    idx = _index(ex)
     if to_index is None:
-        to_index = len(idx.ex.steps)
+        to_index = idx.end
+    _check_index("to_index", to_index, idx.end)
+    _check_index("from_index", from_index, to_index)
+    return _change_counts(idx, from_index, to_index)
+
+
+def _change_counts(idx: _Index, from_index: int, to_index: int) -> dict[int, int]:
     counts = dict.fromkeys(idx.correct, 0)
     moved = idx.watched(idx.correct)
-    for pair, times in Counter(idx.pairs(from_index, to_index)).items():
+    for pair, times in idx.tally(idx.pairs, from_index, to_index).items():
         for v in moved[pair]:
             counts[v] += times
     return counts
@@ -411,14 +501,17 @@ class StabilizationMetrics:
 def measure(ex: Execution, areas: ContainmentAreas | None = None) -> StabilizationMetrics:
     """Compute stabilization metrics for one execution; ``areas`` are those
     of ``ex``, computed when not given."""
-    topo, fm = ex.topo, ex.fm
+    idx = _index(ex)
+    topo, fm = idx.ex.topo, idx.ex.fm
     areas = areas or compute_containment_areas(topo, fm)
-    idx = _Index(ex)
     anchors = _nearest(topo, fm.byzantine | {topo.root})
     first_contained = idx.first(_basin(topo, fm, areas.near, anchors))
     first_strong = None
     if first_contained is not None:
-        first_strong = idx.first(_basin(topo, fm, areas.strictly_near, anchors), first_contained)
+        # Legitimacy outside strictly_near implies it outside near, so no
+        # configuration the first search turned down is strongly contained.
+        strict = _basin(topo, fm, areas.strictly_near, anchors)
+        first_strong = idx.first(strict, idx.configs[first_contained])
     if first_strong is None:
         return StabilizationMetrics(
             first_contained=first_contained,
@@ -428,7 +521,7 @@ def measure(ex: Execution, areas: ContainmentAreas | None = None) -> Stabilizati
             max_settled_changes=None,
         )
     segments = _segments(idx, areas.strictly_near, lo=first_strong)
-    changes = _change_counts(idx, first_strong, None)
+    changes = _change_counts(idx, first_strong, idx.end)
     settlers = _watch_set(topo, fm, areas.strictly_near)
     return StabilizationMetrics(
         first_contained=first_contained,
@@ -443,10 +536,13 @@ def containment_violations(
     ex: Execution, from_index: int, area
 ) -> list[tuple[int, int]]:
     """(step, process) pairs where a correct process outside the area changed
-    state after configuration ``from_index``."""
-    watch = _watch_set(ex.topo, ex.fm, _check_area(ex.topo, ex.fm, area))
-    idx = _Index(ex)
-    watched, configs = idx.watched(watch), ex.configs
+    state after configuration ``from_index``, which must lie in 0..the last
+    configuration."""
+    idx = _index(ex)
+    topo, fm = idx.ex.topo, idx.ex.fm
+    watch = _watch_set(topo, fm, _check_area(topo, fm, area))
+    _check_index("from_index", from_index, idx.end)
+    watched, configs = idx.watched(watch), idx.configs
     return [
         (i, v)
         for i in idx.changing_steps(watch, from_index)
@@ -465,10 +561,14 @@ def floor_closure_violations(ex: Execution) -> list[tuple[int, int]]:
     over the heights finds every such pair.  Each distinct configuration's
     height is computed once, and the pass visits only the configurations
     whose height differs from the one before, since nothing else can
-    change it."""
-    distinct = _Index(ex).config
-    height = dict(zip(distinct, _floor_heights(ex.topo, ex.fm, list(distinct.values()))))
-    heights = list(map(height.__getitem__, map(id, ex.configs)))
+    change it.  On a repeating tail the pass stops two periods in: after
+    one period no height is new, so nothing more is pushed, and the second
+    pops every pending depth above the period's lowest height."""
+    idx = _index(ex)
+    distinct = idx.config
+    height = dict(zip(distinct, _floor_heights(idx.ex.topo, idx.ex.fm, list(distinct.values()))))
+    reach = islice(idx.configs, idx.start + 2 * idx.period)
+    heights = list(map(height.__getitem__, map(id, reach)))
     out = []
     # Depths at which the floor held at some earlier configuration and has
     # not regressed yet, ascending: 0..best except those already reported.
@@ -521,20 +621,24 @@ def violations(
     ``_WORDING``.  Nothing is reported past ``never_contained`` or
     ``never_strongly_contained``; the last three kinds count from the first
     strongly contained configuration.  ``metrics`` and ``areas`` are those
-    of ``ex``, computed when not given."""
-    topo = ex.topo
-    areas = areas or compute_containment_areas(topo, ex.fm)
-    metrics = metrics or measure(ex, areas)
-    out = [Violation("floor", step=i, bound=d) for d, i in floor_closure_violations(ex)]
+    of ``ex``, computed when not given.
+
+    Every pass reads one shared index of ``ex``, handed to it in place of
+    the execution."""
+    idx = _Index(ex)
+    topo = idx.ex.topo
+    areas = areas or compute_containment_areas(topo, idx.ex.fm)
+    metrics = metrics or measure(idx, areas)
+    out = [Violation("floor", step=i, bound=d) for d, i in floor_closure_violations(idx)]
     if metrics.first_contained is None:
         return out + [Violation("never_contained")]
     out.extend(
         Violation("shielded", step=i, process=v)
-        for i, v in containment_violations(ex, metrics.first_contained, areas.near)
+        for i, v in containment_violations(idx, metrics.first_contained, areas.near)
     )
     if metrics.first_strongly_contained is None:
         return out + [Violation("never_strongly_contained")]
-    acts = activation_counts(ex, metrics.first_strongly_contained)
+    acts = activation_counts(idx, metrics.first_strongly_contained)
     out.extend(
         Violation("frontier", process=v, observed=acts[v], bound=topo.degree(v))
         for v in sorted(areas.frontier)

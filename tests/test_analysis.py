@@ -446,6 +446,64 @@ class TestCounts:
         assert all(total[v] == prefix[v] + suffix[v] for v in total)
 
 
+def fifty_steps():
+    topo, fm = path_case(5, byz=[4])
+    ex = run(
+        topo,
+        fm,
+        corrupted_config(topo, fm),
+        DaemonPolicy(),
+        Oscillator(1),
+        StopCriterion(max_steps=50),
+    )
+    assert ex.step_count == 50
+    return ex
+
+
+class TestIndexBounds:
+    """A configuration index outside the run is an error, never a window
+    cut to fit."""
+
+    def test_change_counts_past_the_end(self):
+        with pytest.raises(ValueError, match=r"to_index=500 outside 0\.\.50"):
+            change_counts(fifty_steps(), 0, 500)
+
+    def test_change_counts_from_past_the_end(self):
+        with pytest.raises(ValueError, match=r"from_index=80 outside 0\.\.50"):
+            change_counts(fifty_steps(), 80)
+
+    def test_activation_counts_from_past_the_end(self):
+        with pytest.raises(ValueError, match=r"from_index=80 outside 0\.\.50"):
+            activation_counts(fifty_steps(), 80)
+
+    def test_change_counts_window_backwards(self):
+        with pytest.raises(ValueError, match=r"from_index=10 outside 0\.\.5"):
+            change_counts(fifty_steps(), 10, 5)
+
+    def test_negative_from_index(self):
+        ex = fifty_steps()
+        areas = compute_containment_areas(ex.topo, ex.fm)
+        for call in (
+            lambda: activation_counts(ex, -1),
+            lambda: change_counts(ex, -1),
+            lambda: containment_violations(ex, -1, areas.near),
+        ):
+            with pytest.raises(ValueError, match=r"from_index=-1 outside 0\.\.50"):
+                call()
+
+    def test_containment_violations_from_past_the_end(self):
+        ex = fifty_steps()
+        with pytest.raises(ValueError, match=r"from_index=51 outside 0\.\.50"):
+            containment_violations(ex, 51, frozenset())
+
+    def test_the_bounds_themselves_are_accepted(self):
+        ex = fifty_steps()
+        assert set(change_counts(ex, 50).values()) == {0}
+        assert set(activation_counts(ex, 50).values()) == {0}
+        assert change_counts(ex, 0, 50) == change_counts(ex)
+        assert containment_violations(ex, 50, frozenset()) == []
+
+
 class TestMeasure:
     def test_started_contained_means_index_zero(self):
         topo, fm = path_case(5, byz=[4])
@@ -806,6 +864,37 @@ class TestViolations:
         ]
 
 
+def test_one_violations_call_builds_one_index(monkeypatch):
+    # measure, the floor pass, the shielded pass and the activation counts
+    # all read the index that violations hands them.
+    topo, fm = hexagon_topology()
+    ex = run(
+        topo,
+        fm,
+        corrupted_config(topo, fm),
+        DaemonPolicy(),
+        Oscillator(1),
+        StopCriterion(max_steps=1000),
+        seed=1,
+    )
+    assert measure(ex).first_strongly_contained is not None
+    built = []
+    init = minplus.analysis._Index.__init__
+
+    def counting(self, ex):
+        built.append(ex)
+        init(self, ex)
+
+    monkeypatch.setattr(minplus.analysis._Index, "__init__", counting)
+    calls = {
+        name: counted(monkeypatch, name)
+        for name in ("measure", "floor_closure_violations", "containment_violations", "activation_counts")
+    }
+    violations(ex)
+    assert built == [ex]
+    assert all(len(args) == 1 for args in calls.values())
+
+
 # ---------------------------------------------------------------------------
 # The passes read each distinct configuration and transition once.  Results
 # must not depend on which equal configurations and records share an
@@ -820,19 +909,25 @@ DAEMONS = [
 
 
 @st.composite
-def small_runs(draw):
+def small_runs(draw, periodic=False):
+    """Short runs on small random graphs; ``periodic`` ones oscillate under
+    a daemon whose every step is forced, so most end in a written-out
+    cycle."""
     n = draw(st.integers(2, 7))
     rng = random.Random(draw(st.integers(0, 10**6)))
     topo = Topology.from_edges(n, 0, random_connected_edges(rng, n))
-    byz = draw(st.sets(st.integers(1, n - 1), max_size=2))
+    byz = draw(st.sets(st.integers(1, n - 1), min_size=1 if periodic else 0, max_size=2))
     fm = make_fault_model(topo, byz)
     init = draw(st.sampled_from([corrupted_config(topo, fm), random_config(topo, rng)]))
-    adversary = draw(
-        st.sampled_from(
-            [Silent(), Oscillator(draw(st.integers(1, 4))), RandomWrites(draw(st.integers(0, 99)))]
+    oscillator = Oscillator(draw(st.integers(1, 4)))
+    if periodic:
+        adversary = oscillator
+        daemon = DaemonPolicy("synchronous", draw(st.sampled_from(["round_robin", "random"])))
+    else:
+        adversary = draw(
+            st.sampled_from([Silent(), oscillator, RandomWrites(draw(st.integers(0, 99)))])
         )
-    )
-    daemon = draw(st.sampled_from(DAEMONS))
+        daemon = draw(st.sampled_from(DAEMONS))
     stop = StopCriterion(max_steps=draw(st.integers(0, 400)))
     return run(topo, fm, init, daemon, adversary, stop, seed=draw(st.integers(0, 999)))
 
@@ -950,11 +1045,58 @@ def check_distinct_transitions(ex, areas=None):
     results = every_pass(ex, areas)
     assert every_pass(copy, areas) == results
     check_against_the_references(ex, areas, results)
+    # A repeating tail is proved by identity: break it in the middle of the
+    # tail, and the passes must still match the references.
+    for tampered in tampered_tails(ex):
+        found = every_pass(tampered, areas)
+        assert every_pass(deinterned(tampered), areas) == found
+        check_against_the_references(tampered, areas, found)
+        if tampered.configs == ex.configs and tampered.steps == ex.steps:
+            assert found == results
+
+
+def tampered_tails(ex):
+    """Copies of ``ex`` with the middle of its repeating tail (of the whole
+    run if it has none) broken three ways: one configuration swapped for an
+    equal copy, one for a different configuration, and one record swapped
+    for another."""
+    start, period = minplus.analysis._tail(ex.configs, ex.steps)
+    end = len(ex.steps)
+    mid = min(start, end) + (end - min(start, end)) // 2
+    if not 0 < mid < end:
+        return []
+
+    def swapped(configs=None, steps=None):
+        return Execution(
+            ex.topo,
+            ex.fm,
+            ex.daemon,
+            ex.seed,
+            ex.adversary_desc,
+            configs=configs or list(ex.configs),
+            steps=steps or list(ex.steps),
+        )
+
+    cfg, rec = ex.configs[mid], ex.steps[mid]
+    last = cfg[-1]
+    other = cfg[:-1] + (ProcState(last.prnt, last.level + 1),)
+    toggled = StepRecord(rec.activated ^ {ex.topo.root}, rec.byz_writes)
+    return [
+        swapped(configs=ex.configs[:mid] + [tuple(list(cfg))] + ex.configs[mid + 1 :]),
+        swapped(configs=ex.configs[:mid] + [other] + ex.configs[mid + 1 :]),
+        swapped(steps=ex.steps[:mid] + [toggled] + ex.steps[mid + 1 :]),
+    ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_runs())
 def test_passes_agree_on_interned_and_deinterned_runs(ex):
+    check_distinct_transitions(ex)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_runs(periodic=True))
+def test_passes_agree_on_repeating_tails(ex):
     check_distinct_transitions(ex)
 
 
@@ -968,6 +1110,93 @@ def test_passes_agree_on_interned_and_deinterned_replays(cycles):
         found = segment_disruptions(ex, area)
         assert len(found) >= cycles
         assert segment_disruptions(deinterned(ex), area) == found
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_runs())
+def test_strong_containment_comes_no_earlier_than_containment(ex):
+    # Legitimacy outside strictly_near implies it outside near, so measure
+    # may look for the first strongly contained configuration from 0.
+    topo, fm = ex.topo, ex.fm
+    areas = compute_containment_areas(topo, fm)
+    m = measure(ex, areas)
+    if m.first_strongly_contained is not None:
+        assert m.first_strongly_contained >= m.first_contained
+    strong = first_index(ex.configs, lambda cfg: is_strongly_contained(topo, fm, cfg, areas))
+    assert strong is None or is_contained(topo, fm, ex.configs[strong], areas)
+
+
+class TestRepeatingTails:
+    def test_a_written_out_cycle_is_found(self):
+        ex = fifty_steps()
+        start, period = minplus.analysis._tail(ex.configs, ex.steps)
+        assert 0 < period and start + 2 * period < len(ex.configs)
+        for i in range(start, len(ex.steps) - period):
+            assert ex.configs[i + period] is ex.configs[i]
+            assert ex.steps[i + period] is ex.steps[i]
+        check_distinct_transitions(ex)
+
+    def test_a_floor_regression_first_shown_in_the_second_period(self):
+        # Anchors 0, 1, 2, 3 and diameter 3: heights 1, 3, 1, 3, ...  The
+        # floor at depths 2 and 3 holds first at configuration 1 and fails
+        # first at configuration 2, one period into the tail.
+        edges = [(i, i + 1) for i in range(3)]
+        topo, fm = path_case(4)
+        low = tuple(ProcState(BOT, level) for level in (0, 1, 1, 3))
+        high = tuple(ProcState(BOT, level) for level in (0, 1, 2, 3))
+        rec = StepRecord(frozenset(), ())
+        configs = [low, high] * 4
+        ex = Execution(
+            topo, fm, DaemonPolicy(), 0, "hand-made", configs=configs, steps=[rec] * 7
+        )
+        assert minplus.analysis._tail(ex.configs, ex.steps) == (0, 2)
+        levels = [[state.level for state in cfg] for cfg in configs]
+        want = floor_regressions(4, edges, 0, set(), levels)
+        assert floor_closure_violations(ex) == want == [(2, 2), (3, 2)]
+        assert floor_closure_violations(deinterned(ex)) == want
+
+    def test_no_steps(self):
+        topo, fm = path_case(5, byz=[4])
+        ex = run(
+            topo,
+            fm,
+            corrupted_config(topo, fm),
+            DaemonPolicy(),
+            Oscillator(1),
+            StopCriterion(max_steps=0),
+        )
+        assert ex.step_count == 0
+        check_distinct_transitions(ex)
+
+    def test_one_step(self):
+        topo, fm = path_case(5, byz=[4])
+        ex = run(
+            topo,
+            fm,
+            corrupted_config(topo, fm),
+            DaemonPolicy(),
+            Oscillator(1),
+            StopCriterion(max_steps=1),
+        )
+        assert ex.step_count == 1
+        check_distinct_transitions(ex)
+
+    def test_configurations_without_steps(self):
+        # The passes over configurations read every one of them, though no
+        # record says how each was reached; a repeat by identity is no
+        # proof of a tail without the records.
+        ex = fifty_steps()
+        bare = Execution(
+            ex.topo, ex.fm, ex.daemon, ex.seed, ex.adversary_desc, configs=list(ex.configs)
+        )
+        assert minplus.analysis._tail(bare.configs, bare.steps) == (len(bare.configs), 0)
+        check_distinct_transitions(bare)
+        assert change_counts(bare) == change_counts(ex)
+        assert containment_violations(bare, 0, frozenset()) == containment_violations(
+            ex, 0, frozenset()
+        )
+        assert floor_closure_violations(bare) == floor_closure_violations(ex)
+        assert measure(bare) == measure(ex)
 
 
 def test_replays_hold_each_distinct_configuration_once():
