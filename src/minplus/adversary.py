@@ -247,24 +247,26 @@ def load_script(path) -> Scripted:
     return Scripted(parse_script(Path(path).read_text(encoding="utf-8")))
 
 
+# The kinds that take no argument, by name.
+_BARE = {cls.name: cls for cls in (Silent, FakeRoot, MirrorRoot, WellBehaved)}
+
+
 def make_adversary(descriptor: str) -> Adversary:
     """Build a strategy from a CLI-style descriptor like "oscillator:2"."""
-    kind, _, arg = descriptor.partition(":")
+    kind, colon, arg = descriptor.partition(":")
     kind = kind.strip().lower()
-    if kind == "silent":
-        return Silent()
-    if kind == "fake_root":
-        return FakeRoot()
-    if kind == "mirror_root":
-        return MirrorRoot()
+    if kind in _BARE:
+        if colon:
+            raise ValueError(f"adversary {kind} takes no argument, got {arg!r}")
+        return _BARE[kind]()
+    if kind not in ("oscillator", "random", "scripted"):
+        raise ValueError(f"unknown adversary kind {kind!r}")
+    if colon and not arg:
+        raise ValueError(f"adversary {kind} has an empty argument after ':'")
     if kind == "oscillator":
         return Oscillator(canonical_int(arg) if arg else 1)
     if kind == "random":
         return RandomWrites(canonical_int(arg) if arg else 0)
-    if kind == "scripted":
-        if not arg:
-            raise ValueError("scripted adversary needs a file path")
-        return load_script(arg)
-    if kind == "well_behaved":
-        return WellBehaved()
-    raise ValueError(f"unknown adversary kind {kind!r}")
+    if not arg:
+        raise ValueError("scripted adversary needs a file path")
+    return load_script(arg)

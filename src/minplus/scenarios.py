@@ -11,7 +11,7 @@ exactly the gap the replays demonstrate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .adversary import FakeRoot, MirrorRoot, WellBehaved
 from .errors import GenerationError, ScenarioError
@@ -46,13 +46,25 @@ class ScenarioParams:
     byz_count: int | None = None
 
 
+# The keys each scenario kind needs, by ScenarioParams field, and how a
+# field is spelled in a scenario line where that differs.
+_NEEDS = {
+    "line": ("c",),
+    "hexagon": (),
+    "path": ("n",),
+    "grid": ("w", "h"),
+    "random": ("n", "edge_prob", "seed"),
+}
+_TOKEN = {"edge_prob": "p", "byz_ids": "byz"}
+
+
 def parse_scenario(text: str) -> ScenarioParams:
     """Parse a declarative scenario line like "random n=10 p=0.3 seed=7 byz_count=2"."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty scenario")
     kind = tokens[0].lower()
-    if kind not in ("line", "hexagon", "path", "grid", "random"):
+    if kind not in _NEEDS:
         raise ValueError(f"unknown scenario kind {kind!r}")
     kwargs: dict = {"kind": kind}
     for tok in tokens[1:]:
@@ -114,16 +126,17 @@ def grid_topology(w: int, h: int) -> Topology:
     return Topology.from_edges(w * h, 0, edges)
 
 
-def random_topology(
-    n: int, edge_prob: float, seed: int, max_tries: int = 200
-) -> Topology:
+_RANDOM_TRIES = 200
+
+
+def random_topology(n: int, edge_prob: float, seed: int) -> Topology:
     """Uniform random edges, regenerated until connected."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must be in [0, 1]")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_RANDOM_TRIES):
         edges = [
             (u, v)
             for u in range(n)
@@ -135,36 +148,44 @@ def random_topology(
         except ValueError:
             continue
     raise GenerationError(
-        f"no connected graph with n={n}, p={edge_prob} in {max_tries} tries"
+        f"no connected graph with n={n}, p={edge_prob} in {_RANDOM_TRIES} tries"
     )
+
+
+def _check_keys(params: ScenarioParams) -> None:
+    # A key the kind would not read is malformed, never silently dropped.
+    needs = _NEEDS.get(params.kind)
+    if needs is None:
+        raise ValueError(f"unknown scenario kind {params.kind!r}")
+    missing = [_TOKEN.get(k, k) for k in needs if getattr(params, k) is None]
+    if missing:
+        raise ValueError(f"{params.kind} scenario needs {', '.join(missing)}")
+    reads = set(needs)
+    if params.kind not in ("line", "hexagon"):
+        # One Byzantine placement; a sampled one reads the seed.
+        reads.add("byz_ids" if params.byz_ids is not None else "byz_count")
+        if params.byz_count is not None:
+            reads.add("seed")
+    for f in fields(params)[1:]:
+        if f.name not in reads and getattr(params, f.name) is not None:
+            raise ValueError(
+                f"{params.kind} scenario does not read key {_TOKEN.get(f.name, f.name)!r}"
+            )
 
 
 def build(params: ScenarioParams) -> tuple[Topology, FaultModel]:
     """Build the topology and fault model a scenario describes."""
+    _check_keys(params)
     if params.kind == "line":
-        if params.c is None:
-            raise ValueError("line scenario needs c")
-        if params.byz_ids is not None or params.byz_count is not None:
-            raise ValueError("line places its own Byzantine process")
         return line_topology(params.c)
     if params.kind == "hexagon":
-        if params.byz_ids is not None or params.byz_count is not None:
-            raise ValueError("hexagon places its own Byzantine process")
         return hexagon_topology()
     if params.kind == "path":
-        if params.n is None:
-            raise ValueError("path scenario needs n")
         topo = path_topology(params.n)
     elif params.kind == "grid":
-        if params.w is None or params.h is None:
-            raise ValueError("grid scenario needs w and h")
         topo = grid_topology(params.w, params.h)
-    elif params.kind == "random":
-        if params.n is None or params.edge_prob is None or params.seed is None:
-            raise ValueError("random scenario needs n, edge_prob and seed")
-        topo = random_topology(params.n, params.edge_prob, params.seed)
     else:
-        raise ValueError(f"unknown scenario kind {params.kind!r}")
+        topo = random_topology(params.n, params.edge_prob, params.seed)
     if params.byz_ids is not None:
         return topo, make_fault_model(topo, params.byz_ids)
     if params.byz_count is not None:

@@ -174,6 +174,22 @@ class TestParsing:
         with pytest.raises(ValueError, match="not in canonical form"):
             make_adversary(descriptor)
 
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            ("silent:5", "silent takes no argument, got '5'"),
+            ("fake_root:x", "fake_root takes no argument, got 'x'"),
+            ("mirror_root:abc", "mirror_root takes no argument, got 'abc'"),
+            ("well_behaved:1", "well_behaved takes no argument, got '1'"),
+            ("oscillator:", "oscillator has an empty argument"),
+            ("random:", "random has an empty argument"),
+        ],
+    )
+    def test_make_adversary_rejects_a_dropped_argument(self, descriptor, message):
+        # Each used to run as the bare kind or with the default argument.
+        with pytest.raises(ValueError, match=message):
+            make_adversary(descriptor)
+
     def test_make_adversary(self):
         assert make_adversary("oscillator:3").period == 3
         assert make_adversary("random:7").seed == 7

@@ -190,6 +190,11 @@ class TestRunCommand:
         assert main(["run", "--scenario", "path n=4", "--byz", "03"]) == 2
         assert "not in canonical form" in capsys.readouterr().err
 
+    def test_an_adversary_argument_the_kind_does_not_take_is_malformed(self, capsys):
+        # It used to run the silent adversary and exit 0.
+        assert main(["run", "--scenario", "path n=4", "--adversary", "silent:5"]) == 2
+        assert "takes no argument, got '5'" in capsys.readouterr().err
+
     def test_edge_probability_wants_the_form_repr_writes(self, capsys):
         # It used to run as p=0.3 and exit 0.
         assert main(["run", "--scenario", "random n=5 p=0.30 seed=1"]) == 2

@@ -1,12 +1,31 @@
 import functools
 import hashlib
+import random
 
+from minplus import (
+    DISTRIBUTED,
+    RANDOM,
+    DaemonPolicy,
+    Silent,
+    StopCriterion,
+    build,
+    enabled_set,
+    parse_scenario,
+    run,
+    step_budget,
+    violations,
+)
 from minplus.exhaustive import (
     connected_graph_catalog,
     enumerate_cases,
     labeled_connected_graphs,
     run_exhaustive,
 )
+from minplus.scenarios import all_zero_config, corrupted_config, random_config
+
+from _oracles import floyd_warshall, is_parent_spanning_tree
+
+SWEEP_DAEMON = DaemonPolicy(kind=DISTRIBUTED, fairness=RANDOM)
 
 
 def test_labeled_enumeration_counts():
@@ -66,6 +85,37 @@ def test_small_scope_certification_passes_without_frontier_chains():
 
 def test_labeled_mode_matches_catalog_mode_results():
     assert run_exhaustive(n_max=2, f_max=1, labeled=True, seed=1).ok
+
+
+def test_an_empty_fault_free_verdict_is_quiescence_on_the_distance_tree():
+    # The sweep judges fault-free runs by violations alone; on each of them
+    # an empty verdict must mean what a direct check of the final
+    # configuration says.  Same daemon, initial configurations, random
+    # stream and seed as run_exhaustive(4, 0, seed=0).
+    for case, (topo, fm) in enumerate(enumerate_cases(4, 0), start=1):
+        n, root = topo.process_count, topo.root
+        dist = floyd_warshall(n, topo.edges)[root]
+        rng = random.Random(case)
+        inits = [all_zero_config(topo), corrupted_config(topo, fm), random_config(topo, rng)]
+        for init in inits:
+            stop = StopCriterion(max_steps=step_budget(topo))
+            ex = run(topo, fm, init, SWEEP_DAEMON, Silent(), stop, seed=0)
+            assert violations(ex) == [], (topo.edges, root, init)
+            final = ex.final()
+            assert [s.level for s in final] == dist
+            parents = [s.prnt for s in final]
+            assert is_parent_spanning_tree(n, topo.edges, root, parents)
+            assert all(dist[p] == dist[v] - 1 for v, p in enumerate(parents) if v != root)
+            assert enabled_set(topo, fm, final) == frozenset()
+
+
+def test_a_cut_fault_free_run_is_never_contained():
+    topo, fm = build(parse_scenario("path n=4"))
+    ex = run(
+        topo, fm, corrupted_config(topo, fm), SWEEP_DAEMON, Silent(), StopCriterion(max_steps=1)
+    )
+    assert ex.step_count == 1
+    assert [v.kind for v in violations(ex)] == ["never_contained"]
 
 
 KNOWN_GAPS = ("strong containment never reached",)

@@ -15,6 +15,7 @@ from minplus import (
     segment_disruptions,
     verify_replay,
 )
+from minplus.cli import main
 from minplus.scenarios import (
     all_zero_config,
     corrupted_config,
@@ -72,7 +73,7 @@ class TestBuilders:
 
     def test_random_scenario_gives_up_eventually(self):
         with pytest.raises(GenerationError):
-            random_topology(5, 0.0, seed=1, max_tries=5)
+            random_topology(5, 0.0, seed=1)
 
     def test_byz_count_sampling_is_seeded(self):
         p = parse_scenario("random n=8 p=0.4 seed=3 byz_count=2")
@@ -90,6 +91,30 @@ class TestBuilders:
             build(parse_scenario("line c=1 byz=2"))
         with pytest.raises(ValueError):
             build(parse_scenario("path byz=2"))
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("hexagon c=2", "c"),
+            ("line c=1 n=9", "n"),
+            ("path n=4 w=3", "w"),
+            ("path n=4 p=0.5", "p"),
+            ("random n=5 p=0.3 seed=1 c=2", "c"),
+            ("grid w=2 h=2 seed=3", "seed"),
+            ("path n=5 byz=1 byz_count=1", "byz_count"),
+        ],
+    )
+    def test_build_rejects_a_key_the_kind_does_not_read(self, text, key, capsys):
+        # Each used to build as if the key were absent.
+        with pytest.raises(ValueError, match=f"does not read key '{key}'"):
+            build(parse_scenario(text))
+        assert main(["run", "--scenario", text]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["path n=5 byz_count=2 seed=3", "grid w=2 h=2 byz_count=2 seed=3"])
+    def test_a_sampled_placement_reads_the_seed(self, text):
+        _, fm = build(parse_scenario(text))
+        assert len(fm.byzantine) == 2
 
     @pytest.mark.parametrize(
         "text", ["path n=4 n=5", "path n=4 byz=1 byz=2", "random n=5 p=0.3 edge_prob=0.4 seed=1"]
