@@ -1,11 +1,11 @@
 """Byzantine write strategies.
 
 A strategy is asked once per step what the Byzantine processes write, given
-the trace so far.  Writes are arbitrary states (any level, any parent value
-including non-neighbors); nothing downstream may assume Byzantine state
-sanity.  Strategies are replayable: after ``reset`` they are a pure
-function of the trace prefix, so the same run always produces the same
-writes.
+the configurations so far; the step it writes for is ``len(configs)``.
+Writes are arbitrary states (any level, any parent value including
+non-neighbors); nothing downstream may assume Byzantine state sanity.
+Strategies are replayable: after ``reset`` they are a pure function of the
+trace prefix, so the same run always produces the same writes.
 
 A strategy may also say it is periodic.  ``phase(step_index)`` returns
 ``None`` (the default: not periodic) or a hashable key such that ``writes``
@@ -32,24 +32,26 @@ class Adversary:
     name = "silent"
 
     def reset(self, topo: Topology, fm: FaultModel) -> None:
-        pass
+        """Prepare for a run on this topology and fault model; the engine
+        calls it before every run, ``continue_run`` included."""
 
     def writes(
-        self, topo: Topology, fm: FaultModel, configs: list[Config], step_index: int
+        self, topo: Topology, fm: FaultModel, configs: list[Config]
     ) -> dict[int, ProcState]:
         return {}
 
-    def done(self, topo: Topology, fm: FaultModel, cfg: Config) -> bool:
-        """Whether the strategy has nothing further it wants to write."""
+    def done(self, topo: Topology, fm: FaultModel, configs: list[Config]) -> bool:
+        """Whether the strategy will never write again.  The engine asks
+        only after ``writes`` returned nothing for the same ``configs``,
+        with no correct process enabled in the last of them.  A strategy
+        whose writes depend on the configurations alone is then done, so
+        only one that counts steps (``len(configs)``) overrides this."""
         return True
 
     def phase(self, step_index: int):
         """This step's key under the periodic contract of the module
         docstring, or ``None``."""
         return None
-
-    def describe(self) -> str:
-        return self.name
 
 
 Silent = Adversary
@@ -60,13 +62,10 @@ class FakeRoot(Adversary):
 
     name = "fake_root"
 
-    def writes(self, topo, fm, configs, step_index):
+    def writes(self, topo, fm, configs):
         cfg = configs[-1]
         target = ProcState(None, 0)
         return {b: target for b in sorted(fm.byzantine) if cfg[b] != target}
-
-    def done(self, topo, fm, cfg):
-        return all(cfg[b] == ProcState(None, 0) for b in fm.byzantine)
 
 
 class MirrorRoot(Adversary):
@@ -74,7 +73,7 @@ class MirrorRoot(Adversary):
 
     name = "mirror_root"
 
-    def writes(self, topo, fm, configs, step_index):
+    def writes(self, topo, fm, configs):
         if len(configs) < 2:
             return {}
         r = topo.root
@@ -82,9 +81,6 @@ class MirrorRoot(Adversary):
             return {}
         target = configs[-1][r]
         return {b: target for b in sorted(fm.byzantine) if configs[-1][b] != target}
-
-    def done(self, topo, fm, cfg):
-        return True  # nothing pending unless the root just moved
 
 
 class Oscillator(Adversary):
@@ -98,35 +94,27 @@ class Oscillator(Adversary):
         if period < 1:
             raise ValueError("period must be positive")
         self.period = period
-        self._targets = None
 
     @property
     def name(self):
         return f"oscillator(period={self.period})"
 
-    def writes(self, topo, fm, configs, step_index):
-        # (topo, fm, low writes, high writes), built on the first call for
-        # each topology and fault model.
-        t = self._targets
-        if t is None or t[0] is not topo or t[1] is not fm:
-            byz = sorted(fm.byzantine)
-            low = ProcState(None, 0)
-            high = 2 * topo.diameter + 2
-            t = self._targets = (
-                topo,
-                fm,
-                [(b, low) for b in byz],
-                [(b, ProcState(topo.neighbors[b][0], high)) for b in byz],
-            )
+    def reset(self, topo, fm):
+        byz = sorted(fm.byzantine)
+        high = 2 * topo.diameter + 2
+        self._low = [(b, ProcState(None, 0)) for b in byz]
+        self._high = [(b, ProcState(topo.neighbors[b][0], high)) for b in byz]
+
+    def writes(self, topo, fm, configs):
         cfg = configs[-1]
-        targets = t[2] if ((step_index - 1) // self.period) % 2 == 0 else t[3]
+        low = ((len(configs) - 1) // self.period) % 2 == 0
         out = {}
-        for b, target in targets:
+        for b, target in self._low if low else self._high:
             if cfg[b] != target:
                 out[b] = target
         return out
 
-    def done(self, topo, fm, cfg):
+    def done(self, topo, fm, configs):
         return not fm.byzantine
 
     def phase(self, step_index):
@@ -147,16 +135,13 @@ class RandomWrites(Adversary):
     def reset(self, topo, fm):
         self._rng = random.Random(self.seed)
 
-    def writes(self, topo, fm, configs, step_index):
+    def writes(self, topo, fm, configs):
         out = {}
         for b in sorted(fm.byzantine):
             prnt = self._rng.choice([None] + list(topo.neighbors[b]))
             level = self._rng.randint(0, 2 * topo.diameter)
             out[b] = ProcState(prnt, level)
         return out
-
-    def done(self, topo, fm, cfg):
-        return not fm.byzantine
 
 
 class Scripted(Adversary):
@@ -168,7 +153,6 @@ class Scripted(Adversary):
         for step_idx, proc, state in self.items:
             self._by_step.setdefault(step_idx, {})[proc] = state
         self._last = max(self._by_step) if self._by_step else 0
-        self._asked = 0  # the last step index writes() was asked about
 
     name = "scripted"
 
@@ -177,17 +161,12 @@ class Scripted(Adversary):
         rogue = sorted({proc for _, proc, _ in self.items} - fm.byzantine)
         if rogue:
             raise ValueError(f"script writes to non-Byzantine processes {rogue}")
-        self._asked = 0
 
-    def writes(self, topo, fm, configs, step_index):
-        self._asked = step_index
-        return dict(self._by_step.get(step_index, {}))
+    def writes(self, topo, fm, configs):
+        return dict(self._by_step.get(len(configs), {}))
 
-    def done(self, topo, fm, cfg):
-        return not self.pending_after(self._asked)
-
-    def pending_after(self, step_index: int) -> bool:
-        return step_index < self._last
+    def done(self, topo, fm, configs):
+        return len(configs) >= self._last
 
 
 class WellBehaved(Adversary):
@@ -195,7 +174,7 @@ class WellBehaved(Adversary):
 
     name = "well_behaved"
 
-    def writes(self, topo, fm, configs, step_index):
+    def writes(self, topo, fm, configs):
         cfg = configs[-1]
         return {
             b: _action(topo, cfg, b)
@@ -203,19 +182,15 @@ class WellBehaved(Adversary):
             if is_enabled(topo, cfg, b)
         }
 
-    def done(self, topo, fm, cfg):
-        return not any(is_enabled(topo, cfg, b) for b in fm.byzantine)
-
 
 def advise(
     strategy: Adversary,
     topo: Topology,
     fm: FaultModel,
     configs: list[Config],
-    step_index: int,
 ) -> dict[int, ProcState]:
-    """The Byzantine writes a strategy proposes for the upcoming step."""
-    out = strategy.writes(topo, fm, configs, step_index)
+    """The Byzantine writes a strategy proposes for step ``len(configs)``."""
+    out = strategy.writes(topo, fm, configs)
     if out and not out.keys() <= fm.byzantine:
         b = next(b for b in out if b not in fm.byzantine)
         raise ContractViolation(f"strategy targets correct process {b}")

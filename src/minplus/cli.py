@@ -181,11 +181,16 @@ def execute_run(rc: RunConfig):
     return row, failures, ex
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_topology_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with run-config values")
     p.add_argument("--scenario", help='e.g. "line c=2", "random n=10 p=0.3 seed=7"')
     p.add_argument("--topology", help="topology file path")
     p.add_argument("--byz", help="comma-separated Byzantine ids (overrides file)")
+    p.add_argument("--export-topology", dest="export_topology")
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    _add_topology_flags(p)
     p.add_argument("--adversary", help="silent|fake_root|mirror_root|oscillator:N|random:SEED|scripted:FILE|well_behaved")
     p.add_argument(
         "--daemon", choices=[CENTRAL, DISTRIBUTED, SYNCHRONOUS], help="daemon kind"
@@ -199,7 +204,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", help="write the trace here")
     p.add_argument("--metrics", help="write a one-row metrics CSV here")
     p.add_argument("--dot", help="write the final configuration as DOT here")
-    p.add_argument("--export-topology", dest="export_topology")
     p.add_argument("--check-closure", action="store_true", default=None, dest="check_closure")
     p.add_argument("--check-bounds", action="store_true", default=None, dest="check_bounds")
     p.add_argument(
@@ -335,7 +339,7 @@ def main(argv=None) -> int:
     p_replay.set_defaults(func=cmd_replay)
 
     p_areas = sub.add_parser("areas", help="print containment areas")
-    _add_run_flags(p_areas)
+    _add_topology_flags(p_areas)
     p_areas.set_defaults(func=cmd_areas)
 
     args = parser.parse_args(argv)

@@ -126,7 +126,7 @@ def run_exhaustive(
         for init_name, init in inits:
             for adversary in adversaries:
                 report.runs += 1
-                where = f"{label} init={init_name} adversary={adversary.describe()} seed={seed}"
+                where = f"{label} init={init_name} adversary={adversary.name} seed={seed}"
                 ex = run(
                     topo,
                     fm,

@@ -198,8 +198,6 @@ def make_fault_model(topo: Topology, byzantine) -> FaultModel:
         byz.add(b)
     if topo.root in byz:
         raise ValueError(f"root {topo.root} cannot be Byzantine")
-    if len(byz) > topo.process_count - 1:
-        raise ValueError("at most n-1 Byzantine processes")
     return FaultModel(frozenset(byz))
 
 

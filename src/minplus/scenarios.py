@@ -40,22 +40,21 @@ class ScenarioParams:
     n: int | None = None
     w: int | None = None
     h: int | None = None
-    edge_prob: float | None = None
+    p: float | None = None
     seed: int | None = None
-    byz_ids: tuple[int, ...] | None = None
+    byz: tuple[int, ...] | None = None
     byz_count: int | None = None
 
 
-# The keys each scenario kind needs, by ScenarioParams field, and how a
-# field is spelled in a scenario line where that differs.
+# The keys each scenario kind needs; each ScenarioParams field is spelled
+# in a scenario line as its name.
 _NEEDS = {
     "line": ("c",),
     "hexagon": (),
     "path": ("n",),
     "grid": ("w", "h"),
-    "random": ("n", "edge_prob", "seed"),
+    "random": ("n", "p", "seed"),
 }
-_TOKEN = {"edge_prob": "p", "byz_ids": "byz"}
 
 
 def parse_scenario(text: str) -> ScenarioParams:
@@ -71,11 +70,9 @@ def parse_scenario(text: str) -> ScenarioParams:
         key, _, value = tok.partition("=")
         if not value:
             raise ValueError(f"malformed scenario token {tok!r}")
-        if key == "p":
-            key = "edge_prob"
         if key == "byz":
-            key, value = "byz_ids", tuple(map(canonical_int, value.split(",")))
-        elif key == "edge_prob":
+            value = tuple(map(canonical_int, value.split(",")))
+        elif key == "p":
             # Only the form repr writes, so what loads re-encodes as given.
             if repr(float(value)) != value:
                 raise ValueError(f"edge probability {value!r} not in canonical form")
@@ -85,7 +82,7 @@ def parse_scenario(text: str) -> ScenarioParams:
         else:
             raise ValueError(f"unknown scenario key {key!r}")
         if key in kwargs:
-            raise ValueError(f"scenario key {tok.partition('=')[0]!r} given twice")
+            raise ValueError(f"scenario key {key!r} given twice")
         kwargs[key] = value
     return ScenarioParams(**kwargs)
 
@@ -157,20 +154,18 @@ def _check_keys(params: ScenarioParams) -> None:
     needs = _NEEDS.get(params.kind)
     if needs is None:
         raise ValueError(f"unknown scenario kind {params.kind!r}")
-    missing = [_TOKEN.get(k, k) for k in needs if getattr(params, k) is None]
+    missing = [k for k in needs if getattr(params, k) is None]
     if missing:
         raise ValueError(f"{params.kind} scenario needs {', '.join(missing)}")
     reads = set(needs)
     if params.kind not in ("line", "hexagon"):
         # One Byzantine placement; a sampled one reads the seed.
-        reads.add("byz_ids" if params.byz_ids is not None else "byz_count")
+        reads.add("byz" if params.byz is not None else "byz_count")
         if params.byz_count is not None:
             reads.add("seed")
     for f in fields(params)[1:]:
         if f.name not in reads and getattr(params, f.name) is not None:
-            raise ValueError(
-                f"{params.kind} scenario does not read key {_TOKEN.get(f.name, f.name)!r}"
-            )
+            raise ValueError(f"{params.kind} scenario does not read key {f.name!r}")
 
 
 def build(params: ScenarioParams) -> tuple[Topology, FaultModel]:
@@ -185,9 +180,9 @@ def build(params: ScenarioParams) -> tuple[Topology, FaultModel]:
     elif params.kind == "grid":
         topo = grid_topology(params.w, params.h)
     else:
-        topo = random_topology(params.n, params.edge_prob, params.seed)
-    if params.byz_ids is not None:
-        return topo, make_fault_model(topo, params.byz_ids)
+        topo = random_topology(params.n, params.p, params.seed)
+    if params.byz is not None:
+        return topo, make_fault_model(topo, params.byz)
     if params.byz_count is not None:
         rng = random.Random(params.seed if params.seed is not None else 0)
         pool = [v for v in topo.processes() if v != topo.root]
@@ -273,23 +268,20 @@ def _replay_cycles(
     tree: Config,
     b: int,
     cycles: int,
-    seed: int,
 ) -> Execution:
     # Converge to the two-sided configuration under MirrorRoot; then, each
     # cycle, converge to the tree under WellBehaved, take one FakeRoot step
     # that resets b to (bottom, 0), and return to two-sided under MirrorRoot.
     quiesce = StopCriterion(max_steps=step_budget(topo))
     reset = tree[:b] + (ProcState(None, 0),) + tree[b + 1 :]
-    ex = run(
-        topo, fm, corrupted_config(topo, fm), _CENTRAL_RR, MirrorRoot(), quiesce, seed
-    )
+    ex = run(topo, fm, corrupted_config(topo, fm), _CENTRAL_RR, MirrorRoot(), quiesce)
     _expect(ex, "converge-two-sided", two_sided)
     for k in range(cycles):
-        continue_run(ex, WellBehaved(), quiesce, seed)
+        continue_run(ex, WellBehaved(), quiesce)
         _expect(ex, f"cycle{k}-converge-tree", tree)
-        continue_run(ex, FakeRoot(), StopCriterion(max_steps=1), seed)
+        continue_run(ex, FakeRoot(), StopCriterion(max_steps=1))
         _expect(ex, f"cycle{k}-reset", reset)
-        continue_run(ex, MirrorRoot(), quiesce, seed)
+        continue_run(ex, MirrorRoot(), quiesce)
         _expect(ex, f"cycle{k}-return-two-sided", two_sided)
     # The engine interns across the continue_run calls, so each distinct
     # configuration and record of the whole replay is one object, and the
@@ -297,7 +289,7 @@ def _replay_cycles(
     return ex
 
 
-def replay_strong_impossibility(c: int, cycles: int, seed: int = 0) -> Execution:
+def replay_strong_impossibility(c: int, cycles: int) -> Execution:
     """Drive the 2c+4 chain through its endless two-sided/one-sided cycle.
 
     Every cycle the Byzantine endpoint first behaves correctly (the chain
@@ -310,7 +302,7 @@ def replay_strong_impossibility(c: int, cycles: int, seed: int = 0) -> Execution
         raise ValueError("need c >= 0 and cycles >= 1")
     topo, fm = line_topology(c)
     b = topo.process_count - 1
-    return _replay_cycles(topo, fm, _line_two_sided(c), _line_chain(c), b, cycles, seed)
+    return _replay_cycles(topo, fm, _line_two_sided(c), _line_chain(c), b, cycles)
 
 
 # The hexagon cycle's two targets, as (parent, level) per process.
@@ -322,9 +314,7 @@ _HEXAGON_TREE = tuple(
 )
 
 
-def replay_ta_strong_impossibility(
-    area_choice, cycles: int, seed: int = 0
-) -> Execution:
+def replay_ta_strong_impossibility(area_choice, cycles: int) -> Execution:
     """Drive the hexagon through its endless cycle.
 
     ``area_choice`` must be a proper subset of the two processes adjacent to
@@ -338,6 +328,4 @@ def replay_ta_strong_impossibility(
     if not (area < pair):
         raise ValueError(f"area_choice must be a proper subset of {sorted(pair)}")
     topo, fm = hexagon_topology()
-    return _replay_cycles(
-        topo, fm, _HEXAGON_TWO_SIDED, _HEXAGON_TREE, HEXAGON["b"], cycles, seed
-    )
+    return _replay_cycles(topo, fm, _HEXAGON_TWO_SIDED, _HEXAGON_TREE, HEXAGON["b"], cycles)

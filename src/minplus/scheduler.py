@@ -99,14 +99,14 @@ class DaemonPolicy:
 class StopCriterion:
     """When a run ends.
 
-    ``max_steps`` always caps the run.  A run also ends once no correct
-    process is enabled, the adversary writes nothing and reports it is done,
-    since nothing can happen after that.  While the adversary is not done, a
-    step with nothing enabled and nothing written is recorded as an idle
-    step.  With a ``predicate`` the run ends ``extra_after`` steps after the
-    first configuration satisfying it.  The predicate must be a pure
-    function of the configuration: the engine asks it once per step until
-    it first holds, and never after.
+    A run takes at most ``max_steps`` steps.  With a ``predicate``, the
+    first configuration satisfying it lowers that limit to ``extra_after``
+    steps past it.  The predicate must be a pure function of the
+    configuration: the engine asks it once per step until it first holds,
+    and never after.  A run also ends, early, when no correct process is
+    enabled, the adversary writes nothing and its ``done`` says it never
+    will again, since nothing can happen after that.  Otherwise a step
+    with nothing enabled and nothing written is recorded as an idle step.
     """
 
     max_steps: int
@@ -188,7 +188,7 @@ def run(
         fm=fm,
         daemon=daemon,
         seed=seed,
-        adversary_desc=adversary.describe(),
+        adversary_desc=adversary.name,
         configs=[init],
     )
     return continue_run(ex, adversary, stop, seed)
@@ -235,8 +235,11 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
     every = daemon.kind == SYNCHRONOUS or (
         daemon.kind == DISTRIBUTED and daemon.fairness == ROUND_ROBIN
     )
+    # The predicate is ``pending`` until it first holds; then the step
+    # limit drops to ``extra_after`` steps past that point.  No cycle is
+    # closed while it is pending, since it must see every configuration.
+    limit, pending = stop.max_steps, stop.predicate
     steps_done = 0
-    pred_hit: int | None = None
     # Whether a step is forced (see the module docstring) depends only on
     # the configuration: a distributed daemon's one enabled process acts
     # whatever its coins say, and with nothing enabled the central daemon
@@ -251,31 +254,26 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
     lone_forced = daemon.kind == DISTRIBUTED
     base = len(ex.steps)
 
-    while steps_done < stop.max_steps:
+    while steps_done < limit:
         cfg = ex.configs[-1]
-        if stop.predicate is not None:
-            if pred_hit is None and stop.predicate(cfg):
-                pred_hit = steps_done
-            if pred_hit is not None and steps_done - pred_hit >= stop.extra_after:
-                break
+        if pending is not None and pending(cfg):
+            limit, pending = min(limit, steps_done + stop.extra_after), None
+            continue
         if since and not every and (len(since) > 1 or not lone_forced):
             if forced:
                 forced.clear()
-        elif stop.predicate is None or pred_hit is not None:
+        elif pending is None:
             phase = adversary.phase(len(ex.configs))
             if phase is not None:
                 first = forced.setdefault((id(cfg), phase), steps_done)
                 if first != steps_done:
-                    end = stop.max_steps
-                    if pred_hit is not None:
-                        end = min(end, pred_hit + stop.extra_after)
-                    left = end - steps_done
+                    left = limit - steps_done
                     ex.steps.extend(islice(cycle(ex.steps[base + first :]), left))
                     ex.configs.extend(islice(cycle(ex.configs[base + first + 1 :]), left))
                     return
-        writes = advise(adversary, topo, fm, ex.configs, len(ex.configs))
+        writes = advise(adversary, topo, fm, ex.configs)
         idle = not since and not writes
-        if idle and adversary.done(topo, fm, cfg):
+        if idle and adversary.done(topo, fm, ex.configs):
             break  # nothing can ever happen again
 
         activated: list[int] = []

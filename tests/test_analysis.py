@@ -1230,3 +1230,12 @@ class TestExports:
         assert "n3 -> n1;" in dot and "n5 -> n3;" in dot
         assert 'role="root"' in dot and 'role="byzantine"' in dot
         assert 'role="strictly_near"' in dot
+
+    def test_dot_marks_the_frontier_and_the_shielded(self):
+        # On a 5-path with a Byzantine end, process 2 is as far from it as
+        # from the root, and process 1 is nearer the root.
+        topo, fm = path_case(5, byz=[4])
+        chain = tuple(ProcState(None if v == 0 else v - 1, v) for v in range(5))
+        dot = to_dot(topo, fm, chain)
+        assert 'n2 [label="2 (lvl 2)", role="frontier"];' in dot
+        assert 'n1 [label="1 (lvl 1)", role="outside"];' in dot

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from minplus import hexagon_topology, topology_text
 from minplus.cli import RunConfig, execute_run, main
 from minplus.scheduler import read_trace
 
@@ -43,6 +44,27 @@ class TestAreasCommand:
     def test_needs_exactly_one_source(self):
         assert main(["areas"]) == 2
         assert main(["areas", "--scenario", "hexagon", "--topology", "x"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trace", "T"],
+            ["--dot", "D"],
+            ["--check-bounds"],
+            ["--adversary", "oscillator:2"],
+            ["--max-steps", "5"],
+            ["--init", "zero"],
+            ["--seed", "1"],
+        ],
+    )
+    def test_run_only_flags_are_usage_errors(self, tmp_path, monkeypatch, capsys, flags):
+        # Each used to be accepted, ignored and exit 0, writing no file.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["areas", "--scenario", "path n=4 byz=3", *flags])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestRunCommand:
@@ -159,6 +181,32 @@ class TestRunCommand:
         )
         assert b'"seed": 1' in trace_a.read_bytes()
         assert b'"seed": 2' in trace_b.read_bytes()
+
+    def test_zero_start(self, tmp_path):
+        trace = tmp_path / "zero.trace"
+        args = ["run", "--scenario", "path n=4 byz=3", "--init", "zero"]
+        assert main([*args, "--trace", str(trace)]) == 0
+        assert set(read_trace(trace).configs[0]) == {(None, 0)}
+
+    def test_a_random_start_is_a_function_of_the_seed(self, tmp_path):
+        traces = []
+        for name, seed in [("a", "3"), ("b", "3"), ("c", "4")]:
+            trace = tmp_path / f"{name}.trace"
+            args = ["run", "--scenario", "path n=6 byz=5", "--init", "random", "--seed", seed]
+            assert main([*args, "--trace", str(trace)]) == 0
+            traces.append(trace.read_bytes())
+        assert traces[0] == traces[1]
+        a, c = (read_trace(tmp_path / f"{name}.trace").configs[0] for name in "ac")
+        assert a != c
+
+    def test_export_topology(self, tmp_path):
+        out = tmp_path / "hex.topo"
+        assert main(["run", "--scenario", "hexagon", "--export-topology", str(out)]) == 0
+        assert out.read_text() == topology_text(*hexagon_topology())
+
+    def test_more_byzantine_than_non_root_processes_is_malformed(self, capsys):
+        assert main(["run", "--scenario", "path n=3 byz_count=3"]) == 2
+        assert "more Byzantine processes than non-root processes" in capsys.readouterr().err
 
     def test_init_from_file(self, tmp_path):
         init = tmp_path / "init.cfg"

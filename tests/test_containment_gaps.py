@@ -73,7 +73,7 @@ class TestChainedFrontierActivations:
         topo, fm = claw_with_byzantine_leaf()
         cfg = (ProcState(BOT, 0), ProcState(0, 4), ProcState(1, 4), ProcState(BOT, 0))
         daemon = DaemonPolicy(DISTRIBUTED, RANDOM)
-        ex = Execution(topo, fm, daemon, 0, Silent().describe(), configs=[cfg])
+        ex = Execution(topo, fm, daemon, 0, Silent().name, configs=[cfg])
         for v in (2, 1, 2):
             ex.configs.append(step(topo, fm, ex.configs[-1], {v}))
             ex.steps.append(StepRecord(activated=frozenset({v}), byz_writes=()))

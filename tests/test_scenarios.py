@@ -117,16 +117,27 @@ class TestBuilders:
         assert len(fm.byzantine) == 2
 
     @pytest.mark.parametrize(
-        "text", ["path n=4 n=5", "path n=4 byz=1 byz=2", "random n=5 p=0.3 edge_prob=0.4 seed=1"]
+        "text, error",
+        [
+            pytest.param("path n=4 n=5", "'n' given twice", id="path n=4 n=5"),
+            pytest.param("path n=4 byz=1 byz=2", "'byz' given twice", id="path n=4 byz=1 byz=2"),
+            # "edge_prob=" used to be a second spelling of "p=", so this line
+            # gave the edge probability twice; it is now an unknown key.
+            pytest.param(
+                "random n=5 p=0.3 edge_prob=0.4 seed=1",
+                "unknown scenario key 'edge_prob'",
+                id="random n=5 p=0.3 edge_prob=0.4 seed=1",
+            ),
+        ],
     )
-    def test_parse_rejects_a_repeated_key(self, text):
-        # "path n=4 n=5 byz=1 byz=2" used to give n=5, byz_ids=(2,).
-        with pytest.raises(ValueError, match="given twice"):
+    def test_parse_rejects_a_repeated_key(self, text, error):
+        # "path n=4 n=5 byz=1 byz=2" used to give n=5, byz=(2,).
+        with pytest.raises(ValueError, match=error):
             parse_scenario(text)
 
     @pytest.mark.parametrize("text", ["path n=04 byz=3", "path n=4 byz=03", "line c=+1", "grid w=2 h=2 seed=07"])
     def test_parse_wants_canonical_integers(self, text):
-        # "path n=04 byz=03" used to load as n=4, byz_ids=(3,).
+        # "path n=04 byz=03" used to load as n=4, byz=(3,).
         with pytest.raises(ValueError, match="not in canonical form"):
             parse_scenario(text)
 
@@ -150,7 +161,7 @@ class TestBuilders:
             with pytest.raises(ValueError, match="not in canonical form"):
                 parse_scenario(text)
         else:
-            assert parse_scenario(text).edge_prob == edge_prob
+            assert parse_scenario(text).p == edge_prob
 
     def test_initial_configs(self):
         topo, fm = line_topology(1)

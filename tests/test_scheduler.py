@@ -27,8 +27,10 @@ from minplus import (
     StopCriterion,
     Topology,
     WellBehaved,
+    compute_containment_areas,
     continue_run,
     enabled_set,
+    is_contained,
     make_fault_model,
     read_trace,
     run,
@@ -88,7 +90,7 @@ class FixedWrites(Adversary):
     def __init__(self, writes):
         self.fixed = writes
 
-    def writes(self, topo, fm, configs, step_index):
+    def writes(self, topo, fm, configs):
         return dict(self.fixed)
 
 
@@ -670,7 +672,7 @@ def check_against_the_reference_step(case):
             assert not rec.activated
     if ex.step_count < max_steps:
         assert not enabled_set(topo, fm, ex.final())
-        assert adversary.done(topo, fm, ex.final())
+        assert adversary.done(topo, fm, ex.configs)
     return ex
 
 
@@ -814,9 +816,9 @@ class CountedOscillator(Oscillator):
         super().__init__(period)
         self.asked = []
 
-    def writes(self, topo, fm, configs, step_index):
-        self.asked.append(step_index)
-        return super().writes(topo, fm, configs, step_index)
+    def writes(self, topo, fm, configs):
+        self.asked.append(len(configs))
+        return super().writes(topo, fm, configs)
 
 
 def counted_run(topo, fm, init, daemon, period, seed):
@@ -938,9 +940,8 @@ GOLDEN_GRAPHS = [
 GOLDEN_SHA256 = "76ef9b73474ee2b60395db9c54b29a87888ad35de92332d4764710d3c2b8a1d4"
 
 
-def golden_panel():
-    """(daemon, adversary, trace text) for every daemon, fairness policy and
-    built-in adversary on the two golden graphs."""
+def golden_cases():
+    """(topology, fault model, start, script) of each golden graph."""
     for n, root, edges, byz in GOLDEN_GRAPHS:
         topo = Topology.from_edges(n, root, edges)
         fm = make_fault_model(topo, byz)
@@ -951,6 +952,13 @@ def golden_panel():
         script = [(3, b, ProcState(None, 7)) for b in byz] + [
             (9, byz[0], ProcState(topo.neighbors[byz[0]][0], 1))
         ]
+        yield topo, fm, init, script
+
+
+def golden_panel():
+    """(daemon, adversary, trace text) for every daemon, fairness policy and
+    built-in adversary on the two golden graphs."""
+    for topo, fm, init, script in golden_cases():
         for daemon in ALL_DAEMONS:
             for adversary in (
                 Silent(),
@@ -973,3 +981,35 @@ def test_trace_bytes_match_the_golden_digest():
         runs += 1
     assert runs == 2 * 6 * 7
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# The same, for runs that a predicate stops: ``extra_after`` steps past the
+# first contained configuration, then continued once under the same rule.
+# An extra of 40 lets an oscillating tail close its cycle before the end.
+PREDICATE_SHA256 = "1a37f3c023c89f92598709344940bf2d1a0db7c46dab1c300272df19c9c2c3f6"
+
+
+def predicate_panel():
+    """Trace text of each predicate-stopped run, continued once."""
+    for topo, fm, init, script in golden_cases():
+        areas = compute_containment_areas(topo, fm)
+
+        def contained(cfg):
+            return is_contained(topo, fm, cfg, areas)
+
+        for daemon in ALL_DAEMONS:
+            for extra in (0, 3, 40):
+                stop = StopCriterion(max_steps=120, predicate=contained, extra_after=extra)
+                for make in (lambda: Oscillator(2), lambda: Scripted(script)):
+                    ex = run(topo, fm, init, daemon, make(), stop, seed=11)
+                    yield trace_text(continue_run(ex, make(), stop, seed=12))
+
+
+def test_predicate_stopped_trace_bytes_match_their_golden_digest():
+    digest = hashlib.sha256()
+    runs = 0
+    for text in predicate_panel():
+        digest.update(text.encode("utf-8"))
+        runs += 1
+    assert runs == 2 * 6 * 3 * 2
+    assert digest.hexdigest() == PREDICATE_SHA256
