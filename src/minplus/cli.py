@@ -216,8 +216,13 @@ def _run_config_from_args(args) -> RunConfig:
     if args.config:
         base = json.loads(Path(args.config).read_text(encoding="utf-8"))
     rc = RunConfig.from_dict(base)
+    # A command reads the config keys it has flags for: areas has no run flags.
+    fields = RunConfig.__dataclass_fields__
+    unread = sorted(k for k in base if k in fields and k not in vars(args))
+    if unread:
+        raise ValueError(f"{args.command} does not read run-config keys: {unread}")
     overrides = {}
-    for name in RunConfig.__dataclass_fields__:
+    for name in fields:
         if name == "byz":
             continue
         value = getattr(args, name, None)
@@ -255,7 +260,7 @@ def cmd_sweep(args) -> int:
         try:
             rc = RunConfig.from_dict(entry)
             row, failures, _ = execute_run(rc)
-        except (ValueError, GenerationError, ScenarioError) as exc:
+        except (ValueError, GenerationError, ScenarioError, OSError) as exc:
             malformed += 1
             row = metrics_row(
                 rc.scenario_id(), rc.seed, error=f"{type(exc).__name__}: {exc}"

@@ -1,17 +1,19 @@
 """Small-scope certification: every topology, placement, and start state.
 
 Enumerates either every connected graph up to isomorphism with every root
-placement (via the networkx graph catalog, which covers up to seven nodes),
-or every labeled connected graph with root 0 (edge-set enumeration, only
-sensible up to six nodes), then sweeps Byzantine placements, a panel of
-initial configurations and adversaries, and reports every containment
-violation (:func:`minplus.analysis.violations`) of every run, and nothing
-else: a fault-free run has empty areas, so its verdict is empty only if it
-ends quiescent on the distance-exact spanning tree.
+placement (read from the Graph Atlas data file that networkx ships, which
+covers up to seven nodes), or every labeled connected graph with root 0
+(edge-set enumeration, only sensible up to six nodes), then sweeps
+Byzantine placements, a panel of initial configurations and adversaries,
+and reports every containment violation
+(:func:`minplus.analysis.violations`) of every run, and nothing else: a
+fault-free run has empty areas, so its verdict is empty only if it ends
+quiescent on the distance-exact spanning tree.
 """
 
 from __future__ import annotations
 
+import gzip
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -33,18 +35,34 @@ _ATLAS_MAX = 7
 
 
 def connected_graph_catalog(n_max: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """All connected graphs with 1..n_max nodes, one per isomorphism class."""
+    """All connected graphs with 1..n_max nodes, one per isomorphism class,
+    in Graph Atlas order, read from networkx's atlas data file (gzipped
+    ``GRAPH i`` / ``NODES n`` / ``u v`` lines).  The atlas is ordered by
+    node count, so reading stops at the first graph with more nodes."""
     if n_max > _ATLAS_MAX:
         raise ValueError(f"catalog covers up to {_ATLAS_MAX} nodes")
-    import networkx as nx
-    from networkx.generators.atlas import graph_atlas_g
+    from networkx.generators.atlas import ATLAS_FILE
 
-    out = []
-    for g in graph_atlas_g():
-        n = g.number_of_nodes()
-        if 1 <= n <= n_max and nx.is_connected(g):
-            out.append((n, sorted((min(u, v), max(u, v)) for u, v in g.edges())))
-    return out
+    graphs: list[tuple[int, list[tuple[int, int]]]] = []
+    with gzip.open(ATLAS_FILE, "rb") as f:
+        for line in f:
+            key, value = line.split()
+            if key == b"NODES":
+                if int(value) > n_max:
+                    break
+                graphs.append((int(value), []))
+            elif key != b"GRAPH":
+                u, v = int(key), int(value)
+                graphs[-1][1].append((min(u, v), max(u, v)))
+    return [(n, sorted(edges)) for n, edges in graphs if n and _connected(n, edges)]
+
+
+def _connected(n: int, edges) -> bool:
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return min(_bfs(nbrs, 0)[0]) >= 0
 
 
 def labeled_connected_graphs(n: int):
@@ -52,11 +70,7 @@ def labeled_connected_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        if min(_bfs(nbrs, 0)[0]) >= 0:
+        if _connected(n, edges):
             yield edges
 
 

@@ -66,6 +66,37 @@ class TestAreasCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_run_only_config_keys_are_errors(self, tmp_path, monkeypatch, capsys):
+        # The config file used to print the areas, exit 0 and write no trace.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "scenario": "path n=4 byz=3",
+                    "trace": "T.trace",
+                    "max_steps": 5,
+                    "check_bounds": True,
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["areas", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "areas does not read run-config keys: ['check_bounds', 'max_steps', 'trace']" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_topology_config_keys_are_read(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out.topo"
+        cfg.write_text(
+            json.dumps({"scenario": "path n=4", "byz": [3], "export_topology": str(out)}),
+            encoding="utf-8",
+        )
+        assert main(["areas", "--config", str(cfg)]) == 0
+        assert "byzantine      [3]" in capsys.readouterr().out
+        assert out.exists()
+
 
 class TestRunCommand:
     def test_fault_free_path_dot_is_the_chain(self, tmp_path):
@@ -364,6 +395,25 @@ class TestSweepCommand:
         assert main(["sweep", "--grid", grid, "--out", str(out)]) == 2
         errors = [r["error"] for r in read_rows(out)]
         assert len(errors) == 2 and any(e.startswith("ValueError: ") for e in errors)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"topology": "missing"},
+            {"scenario": "path n=4 byz=3", "init": "missing"},
+            {"scenario": "path n=4 byz=3", "adversary": "scripted:missing"},
+        ],
+        ids=["topology", "init", "script"],
+    )
+    def test_a_missing_file_is_an_error_row(self, tmp_path, monkeypatch, bad):
+        # The missing file used to end the sweep with no CSV at all.
+        monkeypatch.chdir(tmp_path)
+        grid = self.grid(tmp_path, [{"scenario": "path n=4 byz=3"}, bad])
+        out = tmp_path / "metrics.csv"
+        assert main(["sweep", "--grid", grid, "--out", str(out)]) == 2
+        errors = [r["error"] for r in read_rows(out)]
+        assert len(errors) == 2 and errors.count("") == 1
+        assert any(e.startswith("FileNotFoundError: ") for e in errors)
 
     def test_failed_checks_alone_exit_1(self, tmp_path):
         grid = self.grid(tmp_path, [self.FAILS_CHECK])

@@ -2,6 +2,8 @@ import functools
 import hashlib
 import random
 
+import pytest
+
 from minplus import (
     DISTRIBUTED,
     RANDOM,
@@ -39,9 +41,33 @@ def test_labeled_enumeration_counts():
 
 def test_catalog_counts_by_isomorphism_class():
     counts = {}
-    for n, _ in connected_graph_catalog(6):
+    for n, _ in connected_graph_catalog(7):
         counts[n] = counts.get(n, 0) + 1
-    assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}  # OEIS A001349
+
+
+@functools.lru_cache(maxsize=None)
+def networkx_catalog():
+    """The n <= 7 catalog as networkx builds it: every atlas graph with at
+    least one node that nx.is_connected accepts, edges as sorted (min, max)
+    pairs."""
+    import networkx as nx
+    from networkx.generators.atlas import graph_atlas_g
+
+    return [
+        (g.number_of_nodes(), sorted((min(u, v), max(u, v)) for u, v in g.edges()))
+        for g in graph_atlas_g()
+        if g.number_of_nodes() >= 1 and nx.is_connected(g)
+    ]
+
+
+@pytest.mark.parametrize("n_max", range(1, 8))
+def test_catalog_equals_the_networkx_atlas(n_max):
+    # The case number seeds each random start and the labels are printed,
+    # so the sweep's output pins this exact list, order and edge lists.
+    catalog = connected_graph_catalog(n_max)
+    assert catalog == [g for g in networkx_catalog() if g[0] <= n_max]
+    assert catalog == connected_graph_catalog(7)[: len(catalog)]
 
 
 def test_enumerate_cases_sweeps_roots_and_placements():

@@ -12,6 +12,8 @@ from minplus import (
     make_fault_model,
     radius_area,
 )
+from minplus import graph
+from minplus.exhaustive import connected_graph_catalog, labeled_connected_graphs
 from minplus.graph import (
     NO_FAULTS,
     parse_topology,
@@ -241,6 +243,38 @@ class TestDiameterSearch:
         assert a == b and hash(a) == hash(b)
         assert {b: "b"}[a] == "b"
         assert repr(a) == repr(b)
+
+
+class TestSmallGraphDiameter:
+    """Graphs of up to ``graph._PLAIN_MAX`` processes take one BFS per
+    process instead of iFUB; both paths are checked on every small graph,
+    iFUB by lowering the threshold to 0."""
+
+    @pytest.fixture(params=["plain", "ifub"])
+    def search(self, request, monkeypatch):
+        if request.param == "ifub":
+            monkeypatch.setattr(graph, "_PLAIN_MAX", 0)
+
+    def test_every_catalog_graph_takes_the_plain_path(self):
+        assert graph._PLAIN_MAX >= 7
+
+    def test_every_catalog_graph_under_every_root(self, search):
+        for n, edges in connected_graph_catalog(7):
+            want = max(map(max, floyd_warshall(n, edges)))
+            for root in range(n):
+                assert Topology.from_edges(n, root, edges).diameter == want, (edges, root)
+
+    def test_every_labeled_graph(self, search):
+        for n in range(1, 6):
+            for edges in labeled_connected_graphs(n):
+                want = max(map(max, floyd_warshall(n, edges)))
+                assert Topology.from_edges(n, 0, edges).diameter == want, edges
+
+    @pytest.mark.parametrize("shape", sorted(s for s in SHAPES if SHAPES[s][0] <= graph._PLAIN_MAX))
+    def test_ifub_on_the_small_shapes(self, monkeypatch, shape):
+        monkeypatch.setattr(graph, "_PLAIN_MAX", 0)
+        n, edges = SHAPES[shape]
+        assert_matches_floyd_warshall(n, edges, roots=[0, n - 1])
 
 
 def traced_peak(build) -> int:
