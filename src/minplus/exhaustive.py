@@ -14,9 +14,11 @@ quiescent on the distance-exact spanning tree.
 from __future__ import annotations
 
 import gzip
+import importlib.util
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from pathlib import Path
 
 from .adversary import Adversary, Oscillator, Silent
 from .analysis import violations
@@ -41,10 +43,8 @@ def connected_graph_catalog(n_max: int) -> list[tuple[int, list[tuple[int, int]]
     node count, so reading stops at the first graph with more nodes."""
     if n_max > _ATLAS_MAX:
         raise ValueError(f"catalog covers up to {_ATLAS_MAX} nodes")
-    from networkx.generators.atlas import ATLAS_FILE
-
     graphs: list[tuple[int, list[tuple[int, int]]]] = []
-    with gzip.open(ATLAS_FILE, "rb") as f:
+    with gzip.open(_atlas_file(), "rb") as f:
         for line in f:
             key, value = line.split()
             if key == b"NODES":
@@ -55,6 +55,16 @@ def connected_graph_catalog(n_max: int) -> list[tuple[int, list[tuple[int, int]]
                 u, v = int(key), int(value)
                 graphs[-1][1].append((min(u, v), max(u, v)))
     return [(n, sorted(edges)) for n, edges in graphs if n and _connected(n, edges)]
+
+
+def _atlas_file() -> Path:
+    # networkx's ``generators/atlas.dat.gz``, located without importing the
+    # package (about 0.15 s): ``find_spec`` of a top-level name imports
+    # nothing.
+    spec = importlib.util.find_spec("networkx")
+    if spec is None:
+        raise ModuleNotFoundError("the graph catalog reads networkx's atlas data file")
+    return Path(spec.submodule_search_locations[0], "generators", "atlas.dat.gz")
 
 
 def _connected(n: int, edges) -> bool:

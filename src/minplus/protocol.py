@@ -15,6 +15,7 @@ may exceed any graph-derived bound.
 
 from __future__ import annotations
 
+from itertools import count
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,11 +48,11 @@ def is_enabled(topo: Topology, cfg: Config, v: int) -> bool:
         return True
     # Enabled unless level is the parent's plus one and no neighbor is lower
     # than the parent.
-    parent_level = cfg[prnt].level
+    parent_level = cfg[prnt][1]
     if level != parent_level + 1:
         return True
     for q in nbrs:
-        if cfg[q].level < parent_level:
+        if cfg[q][1] < parent_level:
             return True
     return False
 
@@ -62,21 +63,23 @@ def _action(topo: Topology, cfg: Config, v: int) -> ProcState:
     # in v's neighbor order, wrapping round to the order-smallest one (bottom
     # or a non-neighbor sorts first).  One pass over the order finds both:
     # ``first`` is the order-smallest, ``after`` the first one after the
-    # current parent.
+    # current parent.  States are read by index, and the result is built
+    # with ``tuple.__new__``, which skips the named tuple's Python-level
+    # ``__new__``: this runs once per activation.
     if v == topo.root:
-        return ProcState(None, 0)
-    cur = cfg[v].prnt
+        return tuple.__new__(ProcState, (None, 0))
+    cur = cfg[v][0]
     lo = first = after = None
     past = False
     for q in topo.neighbors[v]:
-        level = cfg[q].level
+        level = cfg[q][1]
         if lo is None or level < lo:
             lo, first, after = level, q, (q if past else None)
         elif level == lo and past and after is None:
             after = q
         if q == cur:
             past = True
-    return ProcState(first if after is None else after, lo + 1)
+    return tuple.__new__(ProcState, (first if after is None else after, lo + 1))
 
 
 def step(
@@ -128,19 +131,32 @@ def normalize_config(topo: Topology, fm: FaultModel, cfg: Config) -> Config:
     A correct process can only ever hold a neighbor or bottom once it acts;
     arbitrary initial memory naming anything else is unrepresentable in the
     protocol's state space, so it is normalized away at load time.
-    Byzantine states are kept verbatim.
+    Byzantine states are kept verbatim.  Every state comes back as a
+    ``ProcState``, whatever pair it was given as.  A configuration must hold
+    exactly one state per process: one of any other length raises
+    ``ValueError`` naming both lengths, as does a negative level.
     """
-    new = []
-    for v, (prnt, level) in enumerate(cfg):
+    n = topo.process_count
+    if len(cfg) != n:
+        raise ValueError(f"configuration has {len(cfg)} states for {n} processes")
+    byzantine = fm.byzantine
+    # One pass flags the states to rebuild: those given as some other pair,
+    # and those with a negative level or a parent to reset.
+    flagged = [
+        v
+        for v, state, nbrs in zip(count(), cfg, topo.neighbors)
+        if type(state) is not ProcState
+        or state[1] < 0
+        or (state[0] is not None and state[0] not in nbrs and v not in byzantine)
+    ]
+    new = list(cfg)
+    for v in flagged:
+        prnt, level = cfg[v]
         if level < 0:
             raise ValueError(f"negative level for process {v}")
-        if (
-            fm.is_correct(v)
-            and prnt is not None
-            and prnt not in topo.neighbors[v]
-        ):
+        if v not in byzantine and prnt not in topo.neighbors[v]:
             prnt = None
-        new.append(ProcState(prnt, level))
+        new[v] = ProcState(prnt, level)
     return tuple(new)
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import count, cycle, islice, pairwise, repeat, tee
+from itertools import compress, count, cycle, filterfalse, islice, pairwise, repeat, takewhile, tee
 from pathlib import Path
 from typing import Callable
 
@@ -165,9 +165,8 @@ class Execution:
 
 def enabled_set(topo: Topology, fm: FaultModel, cfg: Config) -> frozenset[int]:
     """Exactly the correct processes whose guard holds in cfg."""
-    return frozenset(
-        v for v in topo.processes() if fm.is_correct(v) and is_enabled(topo, cfg, v)
-    )
+    correct = list(filterfalse(fm.byzantine.__contains__, topo.processes()))
+    return frozenset(compress(correct, map(is_enabled, repeat(topo), repeat(cfg), correct)))
 
 
 def run(
@@ -297,7 +296,7 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
                 if not activated:
                     activated = [rng.choice(pool)]
         else:  # CENTRAL
-            starved = [v for v, t in since.items() if t <= starved_since]
+            starved = _stamped_by(since, starved_since)
             if writes and not starved and (not last_slot_byz or not since):
                 b = min(writes)
                 applied = {b: writes[b]}
@@ -307,7 +306,7 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
                 applied = {}
                 if daemon.fairness == ROUND_ROBIN:
                     # The oldest enabled process, the smallest id among ties.
-                    activated = [min(since, key=lambda v: (since[v], v))]
+                    activated = [min(_stamped_by(since, next(iter(since.values()))))]
                 elif starved:
                     activated = [min(starved)]
                 else:
@@ -322,15 +321,19 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
         if transition is None:
             new_cfg = _successor(topo, cfg, activated, applied)
             new_cfg = interned.setdefault(new_cfg, new_cfg)
-            affected = set(activated)
-            affected.update(applied)
-            for v in list(affected):
-                affected.update(neighbors[v])
+            # Only the processes that moved and their neighbors can change
+            # guards; the correct ones among them are re-evaluated in a
+            # Python loop, since ``map`` and ``compress`` measured slower
+            # here, at n <= 4 and at n = 1,000.  ``update`` receives every
+            # neighbor tuple before it runs.
+            touched = set(activated)
+            touched.update(applied)
+            touched.update(*map(neighbors.__getitem__, touched))
+            touched -= byzantine
             on: list[int] = []
             off: list[int] = []
-            for v in affected:
-                if v not in byzantine:
-                    (on if is_enabled(topo, new_cfg, v) else off).append(v)
+            for v in touched:
+                (on if is_enabled(topo, new_cfg, v) else off).append(v)
             rec = StepRecord(activated=frozenset(activated), byz_writes=byz_writes)
             rec = interned.setdefault(rec, rec)
             transition = transitions[key] = (new_cfg, rec, tuple(on), tuple(off))
@@ -341,13 +344,25 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
 
         if slot_counts:
             slots += 1
-        for v in activated:
-            del since[v]  # re-stamped below if still enabled
-        for v in off:
-            since.pop(v, None)
-        for v in on:
-            if v not in since:
-                since[v] = slots
+        if every:
+            # Every enabled process acted, so the enabled ones now are
+            # exactly those the step touched that are enabled after it.
+            since = dict.fromkeys(on, slots)
+        else:
+            for v in activated:
+                del since[v]  # re-stamped below if still enabled
+            for v in off:
+                since.pop(v, None)
+            for v in on:
+                if v not in since:
+                    since[v] = slots
+
+
+def _stamped_by(since: dict, t: int) -> list[int]:
+    # The processes of ``since`` stamped at slot t or earlier.  New stamps
+    # are the current slot count, so stamps never fall along the dict's
+    # insertion order and these are a prefix of it.
+    return [v for v, _ in takewhile(lambda entry: entry[1] <= t, since.items())]
 
 
 def _by_id(items) -> dict:
@@ -371,25 +386,30 @@ def verify_replay(ex: Execution) -> int | None:
     """Re-apply every stored step; return the first divergent step index.
 
     A step that cannot be applied (it activates a disabled or Byzantine
-    process, or writes to a correct one) diverges too.  Returns None when
-    the whole trace is reproduced exactly.  Each distinct transition, by the
-    identity of its configurations and record, is re-applied once, so a
-    tampered repeat (a new object) is still checked.
+    process, or writes to a correct one) diverges too, and so does the
+    first step at which the stored steps and configurations stop pairing
+    (``configs`` must hold one more than ``steps``): when no earlier step
+    diverges, lists of any other lengths return
+    ``min(len(steps), len(configs) - 1) + 1``.  Returns None when the whole
+    trace is reproduced exactly.  Each distinct transition, by the identity
+    of its configurations and record, is re-applied once, so a tampered
+    repeat (a new object) is still checked.
     """
-    configs = ex.configs
+    configs, steps = ex.configs, ex.steps
     verified: set[tuple[int, int, int]] = set()
-    for i, rec in enumerate(ex.steps):
-        before, after = configs[i], configs[i + 1]
+    for i, rec, (before, after) in zip(count(1), steps, pairwise(configs)):
         key = (id(before), id(rec), id(after))
         if key in verified:
             continue
         try:
             expected = step(ex.topo, ex.fm, before, rec.activated, dict(rec.byz_writes))
         except ContractViolation:
-            return i + 1
+            return i
         if expected != after:
-            return i + 1
+            return i
         verified.add(key)
+    if len(configs) != len(steps) + 1:
+        return min(len(steps), len(configs) - 1) + 1
     return None
 
 

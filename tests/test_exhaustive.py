@@ -1,9 +1,14 @@
 import functools
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minplus
 from minplus import (
     DISTRIBUTED,
     RANDOM,
@@ -68,6 +73,25 @@ def test_catalog_equals_the_networkx_atlas(n_max):
     catalog = connected_graph_catalog(n_max)
     assert catalog == [g for g in networkx_catalog() if g[0] <= n_max]
     assert catalog == connected_graph_catalog(7)[: len(catalog)]
+
+
+def test_the_catalog_does_not_import_networkx():
+    # Importing networkx costs more than reading the catalog, so only its
+    # data file is read.  This checks a fresh interpreter, since this one
+    # may have imported networkx already.
+    src = str(Path(minplus.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from minplus.exhaustive import connected_graph_catalog\n"
+        "assert len(connected_graph_catalog(5)) == 31\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+    )
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_enumerate_cases_sweeps_roots_and_placements():

@@ -30,13 +30,17 @@ from minplus import (
     compute_containment_areas,
     continue_run,
     enabled_set,
+    grid_topology,
     is_contained,
     make_fault_model,
+    path_topology,
+    random_config,
     read_trace,
     run,
     step_budget,
     trace_text,
     verify_replay,
+    violations,
     write_trace,
 )
 from minplus.scheduler import RANDOM, parse_trace
@@ -189,6 +193,19 @@ class TestRun:
             StopCriterion(max_steps=100, predicate=settled, extra_after=0),
         )
         assert ex.step_count < 100 and hits
+
+    def test_a_start_of_plain_pairs_runs_as_states(self):
+        topo, fm = path_case(4, byz=[3])
+        ex = run(topo, fm, ((None, 0),) * 4, DaemonPolicy(), Oscillator(1), StopCriterion(30))
+        assert all(type(s) is ProcState for s in ex.configs[0])
+        assert verify_replay(ex) is None and violations(ex) == []
+
+    @pytest.mark.parametrize("states", [3, 6])
+    def test_a_start_of_the_wrong_length_is_rejected(self, states):
+        topo = path_topology(4)
+        init = (ProcState(None, 0),) * states
+        with pytest.raises(ValueError, match=f"{states} states for 4 processes"):
+            run(topo, make_fault_model(topo, []), init, DaemonPolicy(), Silent(), StopCriterion(20))
 
 
 class TestIdleSteps:
@@ -410,6 +427,24 @@ class TestReplayAndTraces:
         ex.configs[j + 1] = original
         ex.steps[j] = StepRecord(rec.activated, rec.byz_writes + ((4, ProcState(None, 0)),))
         assert verify_replay(ex) == j + 1
+
+    def oscillating_path_run(self):
+        topo = path_topology(5)
+        fm = make_fault_model(topo, [4])
+        init = corrupted(topo, fm)
+        daemon = DaemonPolicy(DISTRIBUTED, RANDOM)
+        return run(topo, fm, init, daemon, Oscillator(1), StopCriterion(max_steps=30), seed=3)
+
+    def test_an_extra_configuration_is_where_the_lists_stop_pairing(self):
+        ex = self.oscillating_path_run()
+        assert ex.step_count == 30 and verify_replay(ex) is None
+        ex.configs.append(ex.configs[-1])
+        assert verify_replay(ex) == 31
+
+    def test_missing_configurations_are_where_the_lists_stop_pairing(self):
+        ex = self.oscillating_path_run()
+        del ex.configs[-3:]
+        assert verify_replay(ex) == 28
 
     def test_trace_file_round_trip(self, tmp_path):
         ex = self.make_run()
@@ -1013,3 +1048,34 @@ def test_predicate_stopped_trace_bytes_match_their_golden_digest():
         runs += 1
     assert runs == 2 * 6 * 3 * 2
     assert digest.hexdigest() == PREDICATE_SHA256
+
+
+# The same at large n, where the engine's touched, enabled and fairness
+# sets are hundreds of processes wide: a 20 x 20 grid and a seeded sparse
+# graph of 300 processes (a random spanning tree plus about as many chords),
+# every daemon against ``Oscillator(1)`` and ``RandomWrites`` from a seeded
+# random start.
+LARGE_SHA256 = "73fad01dfed23c6db372481945f901c0e4b3da6f18317ec0e9e8c4f671178df9"
+
+
+def large_panel():
+    """Trace text of each large-graph run."""
+    rng = random.Random(2024)
+    sparse = Topology.from_edges(300, 0, random_connected_edges(rng, 300, 2 / 300))
+    for topo, byz in ((grid_topology(20, 20), (37, 210, 389)), (sparse, (11, 150, 299))):
+        fm = make_fault_model(topo, byz)
+        init = random_config(topo, rng)
+        for daemon in ALL_DAEMONS:
+            for adversary in (Oscillator(1), RandomWrites(rng.randrange(1 << 30))):
+                ex = run(topo, fm, init, daemon, adversary, StopCriterion(max_steps=30), seed=7)
+                yield trace_text(ex)
+
+
+def test_large_graph_trace_bytes_match_their_golden_digest():
+    digest = hashlib.sha256()
+    runs = 0
+    for text in large_panel():
+        digest.update(text.encode("utf-8"))
+        runs += 1
+    assert runs == 2 * 6 * 2
+    assert digest.hexdigest() == LARGE_SHA256
