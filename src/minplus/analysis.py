@@ -235,8 +235,8 @@ class _Index:
     from configuration ``lo`` reads up to ``head(lo)``, one whole period
     into the tail, and folds in the rest from that period, so it costs the
     prefix plus one or two periods.  The index lives for one call of a
-    public pass, or one ``violations`` call, since ``ex.configs`` may
-    change between calls.
+    public pass, or one ``measure`` or ``violations`` call, which hands it
+    to the passes it makes, since ``ex.configs`` may change between calls.
     """
 
     def __init__(self, ex: Execution):
@@ -320,7 +320,7 @@ class _Index:
 
 def _index(ex) -> _Index:
     # A pass handed an index where it takes an execution reads that index,
-    # so that one ``violations`` call reads the run once.
+    # so that one ``measure`` or ``violations`` call reads the run once.
     return ex if isinstance(ex, _Index) else _Index(ex)
 
 
@@ -364,28 +364,26 @@ class DisruptionSegment:
 
 
 def segment_disruptions(
-    ex: Execution, area, budget: int | None = None
+    ex: Execution, area, budget: int | None = None, from_index: int = 0
 ) -> list[DisruptionSegment]:
-    """Split a trace into its disruptions for a given area.
+    """Split a trace, from configuration ``from_index`` on, into its
+    disruptions for a given area.
 
     A disruption starts at an area-legitimate, area-stable configuration,
     ends at the first later configuration with both properties again, and
     contains at least one output-variable change by a correct process
     outside the area.  Changes before the first such boundary, or after the
-    last one, belong to no (completed) disruption.
+    last one, belong to no (completed) disruption.  ``from_index`` must lie
+    in 0..the last configuration; segment indices, like the ``step_index``
+    of the error raised when a candidate boundary's stability is
+    undecided, count from the start of the whole execution.
     """
-    return _segments(_index(ex), area, budget)
-
-
-def _segments(
-    idx: _Index, area, budget: int | None = None, lo: int = 0
-) -> list[DisruptionSegment]:
-    # The disruptions of the execution's suffix from configuration lo, with
-    # indices into the whole execution.
+    idx = _index(ex)
     topo, fm = idx.ex.topo, idx.ex.fm
     area = _check_area(topo, fm, area)
+    _check_index("from_index", from_index, idx.end)
     watch = _watch_set(topo, fm, area)
-    changes = idx.changing_steps(watch, lo)
+    changes = idx.changing_steps(watch, from_index)
     if not changes:
         return []
     configs, watched = idx.configs, idx.watched(watch)
@@ -406,15 +404,15 @@ def _segments(
                 if stable is None:
                     raise AnalysisError(
                         "area stability undecided at candidate boundary",
-                        step_index=i - lo,
+                        step_index=i,
                     )
                 ok = stable
             memo[id(cfg)] = ok
         return ok
 
     segments: list[DisruptionSegment] = []
-    # No boundary lies in lo..bottom - 1.
-    bottom = lo
+    # No boundary lies in from_index..bottom - 1.
+    bottom = from_index
     k = 0
     while k < len(changes):
         c = changes[k]
@@ -428,7 +426,7 @@ def _segments(
         if end is None:
             break
         touched = frozenset(v for pair in set(idx.pairs(start, end)) for v in watched[pair])
-        segments.append(DisruptionSegment(start - lo, end - lo, touched))
+        segments.append(DisruptionSegment(start, end, touched))
         k = bisect_right(changes, end, k)
     return segments
 
@@ -470,10 +468,6 @@ def change_counts(
         to_index = idx.end
     _check_index("to_index", to_index, idx.end)
     _check_index("from_index", from_index, to_index)
-    return _change_counts(idx, from_index, to_index)
-
-
-def _change_counts(idx: _Index, from_index: int, to_index: int) -> dict[int, int]:
     counts = dict.fromkeys(idx.correct, 0)
     moved = idx.watched(idx.correct)
     for pair, times in idx.tally(idx.pairs, from_index, to_index).items():
@@ -520,8 +514,8 @@ def measure(ex: Execution, areas: ContainmentAreas | None = None) -> Stabilizati
             changes_by_process={},
             max_settled_changes=None,
         )
-    segments = _segments(idx, areas.strictly_near, lo=first_strong)
-    changes = _change_counts(idx, first_strong, idx.end)
+    segments = segment_disruptions(idx, areas.strictly_near, from_index=first_strong)
+    changes = change_counts(idx, first_strong)
     settlers = _watch_set(topo, fm, areas.strictly_near)
     return StabilizationMetrics(
         first_contained=first_contained,

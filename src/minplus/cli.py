@@ -29,7 +29,7 @@ from .analysis import (
     violations,
     write_metrics_csv,
 )
-from .errors import GenerationError, ScenarioError
+from .errors import GenerationError
 from .exhaustive import run_exhaustive
 from .graph import canonical_int, make_fault_model, read_topology, write_topology
 from .scenarios import (
@@ -63,6 +63,13 @@ _JSON_TYPES = {
     "bool": lambda value: type(value) is bool,
     "tuple[int, ...]": lambda value: isinstance(value, (list, tuple))
     and all(type(b) is int for b in value),
+}
+
+# How the run flags that hold integers read them: as every file does.
+_INT_FLAGS = {
+    "byz": lambda text: tuple(map(canonical_int, text.split(","))),
+    "seed": canonical_int,
+    "max_steps": canonical_int,
 }
 
 # The violation kinds each check flag reports.
@@ -198,8 +205,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--fairness", choices=[ROUND_ROBIN, RANDOM], help="fairness policy"
     )
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-steps", type=int, dest="max_steps")
+    p.add_argument("--seed")
+    p.add_argument("--max-steps", dest="max_steps")
     p.add_argument("--init", help="zero|corrupted|random|FILE")
     p.add_argument("--trace", help="write the trace here")
     p.add_argument("--metrics", help="write a one-row metrics CSV here")
@@ -223,13 +230,10 @@ def _run_config_from_args(args) -> RunConfig:
         raise ValueError(f"{args.command} does not read run-config keys: {unread}")
     overrides = {}
     for name in fields:
-        if name == "byz":
-            continue
         value = getattr(args, name, None)
         if value is not None:
-            overrides[name] = value
-    if getattr(args, "byz", None) is not None:
-        overrides["byz"] = tuple(map(canonical_int, args.byz.split(",")))
+            parse = _INT_FLAGS.get(name)
+            overrides[name] = parse(value) if parse else value
     return replace(rc, **overrides)
 
 
@@ -260,7 +264,7 @@ def cmd_sweep(args) -> int:
         try:
             rc = RunConfig.from_dict(entry)
             row, failures, _ = execute_run(rc)
-        except (ValueError, GenerationError, ScenarioError, OSError) as exc:
+        except (ValueError, GenerationError, OSError) as exc:
             malformed += 1
             row = metrics_row(
                 rc.scenario_id(), rc.seed, error=f"{type(exc).__name__}: {exc}"
@@ -279,9 +283,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_exhaustive(args) -> int:
-    report = run_exhaustive(
-        args.n_max, args.f_max, labeled=args.labeled, seed=args.seed
-    )
+    n_max, f_max, seed = map(canonical_int, (args.n_max, args.f_max, args.seed))
+    report = run_exhaustive(n_max, f_max, labeled=args.labeled, seed=seed)
     print(f"cases={report.cases} runs={report.runs} failures={len(report.failures)}")
     for failure in report.failures:
         print(f"FAIL {failure}")
@@ -329,14 +332,14 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_ex = sub.add_parser("exhaustive", help="small-scope certification sweep")
-    p_ex.add_argument("--n-max", type=int, default=4, dest="n_max")
-    p_ex.add_argument("--f-max", type=int, default=1, dest="f_max")
+    p_ex.add_argument("--n-max", default="4", dest="n_max")
+    p_ex.add_argument("--f-max", default="1", dest="f_max")
     p_ex.add_argument(
         "--labeled",
         action="store_true",
         help="enumerate labeled graphs by edge sets instead of the catalog",
     )
-    p_ex.add_argument("--seed", type=int, default=0)
+    p_ex.add_argument("--seed", default="0")
     p_ex.set_defaults(func=cmd_exhaustive)
 
     p_replay = sub.add_parser("replay", help="verify a stored trace")
@@ -350,7 +353,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GenerationError, ScenarioError, OSError) as exc:
+    except (ValueError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -335,9 +335,9 @@ def counted(monkeypatch, name):
     calls = []
     fn = getattr(minplus.analysis, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(minplus.analysis, name, wrapper)
     return calls
@@ -384,7 +384,12 @@ class TestSegments:
         ex = replay_strong_impossibility(c=1, cycles=1)
         with pytest.raises(AnalysisError) as info:
             segment_disruptions(ex, {4}, budget=0)
-        assert info.value.step_index is not None
+        assert info.value.step_index == 3
+        # From a later configuration the index still counts from the start
+        # of the whole execution.
+        with pytest.raises(AnalysisError) as info:
+            segment_disruptions(ex, {4}, budget=0, from_index=4)
+        assert info.value.step_index == 9
 
     def test_the_area_is_checked_once_per_call(self, monkeypatch):
         # Every candidate boundary reads the one validated area and watch
@@ -866,7 +871,8 @@ class TestViolations:
 
 def test_one_violations_call_builds_one_index(monkeypatch):
     # measure, the floor pass, the shielded pass and the activation counts
-    # all read the index that violations hands them.
+    # all read the index that violations hands them, and measure hands it
+    # on to the segmentation and the change counts.
     topo, fm = hexagon_topology()
     ex = run(
         topo,
@@ -888,11 +894,21 @@ def test_one_violations_call_builds_one_index(monkeypatch):
     monkeypatch.setattr(minplus.analysis._Index, "__init__", counting)
     calls = {
         name: counted(monkeypatch, name)
-        for name in ("measure", "floor_closure_violations", "containment_violations", "activation_counts")
+        for name in (
+            "measure",
+            "floor_closure_violations",
+            "containment_violations",
+            "activation_counts",
+            "segment_disruptions",
+            "change_counts",
+        )
     }
     violations(ex)
     assert built == [ex]
     assert all(len(args) == 1 for args in calls.values())
+    handed = {id(args[0][0]) for args in calls.values()}
+    assert len(handed) == 1
+    assert isinstance(calls["measure"][0][0], minplus.analysis._Index)
 
 
 # ---------------------------------------------------------------------------
@@ -954,9 +970,9 @@ def named_areas(areas):
     return {"near": areas.near, "strictly_near": areas.strictly_near, "none": frozenset()}
 
 
-def _disruptions_or_error(ex, area):
+def _disruptions_or_error(ex, area, lo):
     try:
-        return segment_disruptions(ex, area)
+        return segment_disruptions(ex, area, from_index=lo)
     except AnalysisError as err:
         return str(err)
 
@@ -975,11 +991,10 @@ def every_pass(ex, areas):
     for lo in {0, end // 2, end, m.first_contained or 0, m.first_strongly_contained or 0}:
         for name, area in named_areas(areas).items():
             out["moves", lo, name] = containment_violations(ex, lo, area)
+            out["disruptions", lo, name] = _disruptions_or_error(ex, area, lo)
         out["acts", lo] = activation_counts(ex, lo)
         out["changes", lo] = change_counts(ex, lo)
         out["changes", lo, "window"] = change_counts(ex, lo, max(lo, end - 2))
-    for name, area in named_areas(areas).items():
-        out["disruptions", name] = _disruptions_or_error(ex, area)
     return out
 
 
@@ -1030,9 +1045,10 @@ def check_against_the_references(ex, areas, results):
             hi = max(lo, end - 2) if len(key) == 3 else None
             assert got == change_tally(configs, correct, lo, hi)
         elif key[0] == "disruptions" and not isinstance(got, str):
-            area = named_areas(areas)[key[1]]
-            want = disruptions(configs, watch(area), boundary(area))
-            assert [(d.start_index, d.end_index, d.changed_processes) for d in got] == want
+            _, lo, name = key
+            area = named_areas(areas)[name]
+            want = disruptions(configs[lo:], watch(area), boundary(area))
+            assert [(d.start_index - lo, d.end_index - lo, d.changed_processes) for d in got] == want
     lines = results["trace"].splitlines()
     records = [(rec.activated, rec.byz_writes) for rec in ex.steps]
     assert lines[lines.index("init-end") + 1 : -1] == step_lines(configs, records)

@@ -266,8 +266,19 @@ class TestRunCommand:
         assert fails == ["FAIL containment never reached"]
 
     def test_byz_option_wants_canonical_integers(self, capsys):
-        assert main(["run", "--scenario", "path n=4", "--byz", "03"]) == 2
-        assert "not in canonical form" in capsys.readouterr().err
+        # Every integer flag reads integers as --byz does: --seed and
+        # --max-steps used to run "0_7" as 7 and "+05" as 5, and exhaustive
+        # to read " 2" as 2 and "01" as 1.
+        for argv in (
+            ["run", "--scenario", "path n=4", "--byz", "03"],
+            ["run", "--scenario", "path n=4 byz=3", "--seed", "0_7"],
+            ["run", "--scenario", "path n=4 byz=3", "--max-steps", "+05"],
+            ["exhaustive", "--n-max", " 2"],
+            ["exhaustive", "--f-max", "01"],
+            ["exhaustive", "--seed", "0_1"],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: integer {argv[-1]!r} not in canonical form\n"
 
     def test_an_adversary_argument_the_kind_does_not_take_is_malformed(self, capsys):
         # It used to run the silent adversary and exit 0.
