@@ -21,8 +21,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count, dropwhile, islice, pairwise, repeat
-from operator import and_, attrgetter, ge, is_, is_not, ne
+from itertools import chain, compress, count, dropwhile, islice, pairwise
+from operator import attrgetter, ge, is_not, ne
 from pathlib import Path
 
 from .errors import AnalysisError
@@ -44,6 +44,7 @@ from .scheduler import (
     StopCriterion,
     _by_id,
     _Memo,
+    _tail,
     continue_run,
     enabled_set,
     step_budget,
@@ -322,35 +323,6 @@ def _index(ex) -> _Index:
     # A pass handed an index where it takes an execution reads that index,
     # so that one ``measure`` or ``violations`` call reads the run once.
     return ex if isinstance(ex, _Index) else _Index(ex)
-
-
-def _tail(configs: list[Config], steps: list) -> tuple[int, int]:
-    """``(start, period)``: from configuration ``start`` on, each
-    configuration and each record is the same object as the one ``period``
-    steps later.  The period is the lag back to the last step's
-    configuration and record; ``start`` is one past the last index, found
-    scanning back from the end, at which either list breaks that period.
-    Without such a lag, or when the lists do not pair up,
-    ``(len(configs), 0)``."""
-    n = len(steps)
-    if not n or len(configs) != n + 1:
-        return len(configs), 0
-    before, record = configs[-2], steps[-1]
-    lags = map(
-        and_,
-        map(is_, islice(reversed(configs), 2, None), repeat(before)),
-        map(is_, islice(reversed(steps), 1, None), repeat(record)),
-    )
-    p = next(compress(count(1), lags), None)
-    if p is None:
-        return len(configs), 0
-    start = 0
-    for seq, last in ((configs, n), (steps, n - 1)):
-        # seq[last - k] and seq[last - k - p], from k = 0 on.
-        k = next(compress(count(), map(is_not, reversed(seq), islice(reversed(seq), p, None))), None)
-        if k is not None:
-            start = max(start, last - k - p + 1)
-    return start, p
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import compress, count, cycle, filterfalse, islice, pairwise, repeat, takewhile, tee
+from itertools import chain, compress, count, cycle, filterfalse, islice, pairwise, repeat, takewhile, tee
+from operator import and_, is_, is_not
 from pathlib import Path
 from typing import Callable
 
@@ -370,6 +371,37 @@ def _by_id(items) -> dict:
     return dict(zip(map(id, items), items))
 
 
+def _tail(configs: list[Config], steps: list) -> tuple[int, int]:
+    """``(start, period)``: from configuration ``start`` on, each
+    configuration and each record is the same object as the one ``period``
+    steps later.  The period is the lag back to the last step's
+    configuration and record; ``start`` is one past the last index, found
+    scanning back from the end, at which either list breaks that period.
+    Without such a lag, or when the lists do not pair up,
+    ``(len(configs), 0)``.  The one proof of a tail, by identity, never
+    trusted from the engine: the analysis passes, ``trace_text`` and
+    ``verify_replay`` read steps up to ``start + period`` and no later."""
+    n = len(steps)
+    if not n or len(configs) != n + 1:
+        return len(configs), 0
+    before, record = configs[-2], steps[-1]
+    lags = map(
+        and_,
+        map(is_, islice(reversed(configs), 2, None), repeat(before)),
+        map(is_, islice(reversed(steps), 1, None), repeat(record)),
+    )
+    p = next(compress(count(1), lags), None)
+    if p is None:
+        return len(configs), 0
+    start = 0
+    for seq, last in ((configs, n), (steps, n - 1)):
+        # seq[last - k] and seq[last - k - p], from k = 0 on.
+        k = next(compress(count(), map(is_not, reversed(seq), islice(reversed(seq), p, None))), None)
+        if k is not None:
+            start = max(start, last - k - p + 1)
+    return start, p
+
+
 class _Memo(dict):
     """A dict that fills each missing key with ``fn(key)``, once."""
 
@@ -393,11 +425,14 @@ def verify_replay(ex: Execution) -> int | None:
     ``min(len(steps), len(configs) - 1) + 1``.  Returns None when the whole
     trace is reproduced exactly.  Each distinct transition, by the identity
     of its configurations and record, is re-applied once, so a tampered
-    repeat (a new object) is still checked.
+    repeat (a new object) is still checked.  No step past one period into
+    a repeating tail (see ``_tail``) is read: each is, by identity, the
+    transition a period before it, and a tampered one ends the tail.
     """
     configs, steps = ex.configs, ex.steps
+    start, period = _tail(configs, steps)
     verified: set[tuple[int, int, int]] = set()
-    for i, rec, (before, after) in zip(count(1), steps, pairwise(configs)):
+    for i, rec, (before, after) in zip(range(1, start + period + 1), steps, pairwise(configs)):
         key = (id(before), id(rec), id(after))
         if key in verified:
             continue
@@ -452,7 +487,12 @@ def _state_token(entry: tuple[int, ProcState]) -> str:
 
 
 def trace_text(ex: Execution) -> str:
-    configs, records = _by_id(ex.configs), _by_id(ex.steps)
+    """The trace of ``ex``.  Each distinct transition is encoded once, and
+    past one period into a repeating tail (see ``_tail``) each step line is
+    its number plus the text of the line a period before it."""
+    start, period = _tail(ex.configs, ex.steps)
+    head = min(start + period, len(ex.steps))
+    configs, records = _by_id(ex.configs[: head + 1]), _by_id(ex.steps[:head])
     procs = range(len(ex.configs[0]))
     token = _Memo(_state_token).__getitem__
     act_text = _Memo(lambda acts: ",".join(map(str, sorted(acts))))
@@ -466,14 +506,13 @@ def trace_text(ex: Execution) -> str:
             f" chg={','.join(map(token, changed))}"
         )
 
-    # A run repeats few distinct transitions, so each is encoded once and
-    # only the step number is written per step.
     texts = _Memo(step_text)
     lines = _trace_head(ex)
-    numbers = map(str, count(1))
-    # ``((id(before), id(after)), id(record))`` of every step.
-    keys = zip(pairwise(map(id, ex.configs)), map(id, ex.steps))
-    lines += map(" ".join, zip(repeat("step"), numbers, map(texts.__getitem__, keys)))
+    # ``((id(before), id(after)), id(record))`` of each step up to the head.
+    keys = zip(pairwise(map(id, islice(ex.configs, head + 1))), map(id, islice(ex.steps, head)))
+    written = list(map(texts.__getitem__, keys))
+    tail = islice(cycle(written[head - period :]), len(ex.steps) - head)
+    lines += [f"step {i} {text}" for i, text in zip(count(1), chain(written, tail))]
     lines.append(f"end {len(ex.steps)}")
     return "\n".join(lines) + "\n"
 
@@ -487,7 +526,8 @@ def parse_trace(text: str) -> Execution:
 
     Only what ``trace_text`` could have written loads, byte for byte.  Lines
     end in ``\\n`` alone (``read_trace`` reads other line endings as
-    ``\\n``).
+    ``\\n``).  Step lines that repeat the text of those a period before
+    them are decoded once per period, once the configurations repeat too.
     """
     lines = text.split("\n")
     if lines[0] != _TRACE_MAGIC:
@@ -584,27 +624,37 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
     # Line i must start "step i ": each head is formatted once, then both
     # checked and stripped.
     heads, strip = tee(map("step {} ".format, count(1)))
-    numbered = map(str.startswith, body, heads)
-    for i, ok, text in zip(count(1), numbered, map(str.removeprefix, body, strip)):
-        if not ok:
-            raise ValueError(f"expected step {i}, got {body[i - 1][:40]!r}")
-        key = (id(cfg), text)
-        found = decoded.get(key)
-        if found is None:
-            try:
-                rec, changed = texts[text]
-            except ValueError as exc:
-                raise ValueError(f"step {i}: {exc}") from None
-            new = list(cfg)
-            for v, state in changed:
-                if new[v] == state:
-                    raise ValueError(f"step {i}: chg= names process {v}, which does not change")
-                new[v] = state
-            new = tuple(new)
-            found = decoded[key] = (rec, interned.setdefault(new, new))
-        rec, cfg = found
-        steps.append(rec)
-        configs.append(cfg)
+    numbered = zip(count(1), map(str.startswith, body, heads), map(str.removeprefix, body, strip))
+    # Lines past ``start`` repeat the line a period before them, and the same
+    # texts applied twice from any configuration end at the same one: two
+    # periods past ``start`` at the latest, the configurations repeat too.
+    start, period = _text_tail(body)
+    for hi in (start + period, start + 2 * period, len(body)):
+        for i, ok, text in islice(numbered, hi - len(steps)):
+            if not ok:
+                raise ValueError(f"expected step {i}, got {body[i - 1][:40]!r}")
+            key = (id(cfg), text)
+            found = decoded.get(key)
+            if found is None:
+                try:
+                    rec, changed = texts[text]
+                except ValueError as exc:
+                    raise ValueError(f"step {i}: {exc}") from None
+                new = list(cfg)
+                for v, state in changed:
+                    if new[v] == state:
+                        raise ValueError(f"step {i}: chg= names process {v}, which does not change")
+                    new[v] = state
+                new = tuple(new)
+                found = decoded[key] = (rec, interned.setdefault(new, new))
+            rec, cfg = found
+            steps.append(rec)
+            configs.append(cfg)
+        if hi >= len(body) or configs[hi - period] is configs[hi]:
+            break
+    left = max(len(body) - hi, 0)
+    steps.extend(islice(cycle(steps[hi - period :]), left))
+    configs.extend(islice(cycle(configs[hi - period + 1 :]), left))
     if meta["steps"] != len(steps):
         raise ValueError(
             f"trace header says {meta['steps']} steps, the trace has {len(steps)}"
@@ -614,6 +664,22 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
             "trace header, topology or initial configuration not as trace_text writes it"
         )
     return ex
+
+
+def _text_tail(body: list[str]) -> tuple[int, int]:
+    # ``(start, period)``: each step line past ``start`` is "step i " plus the
+    # text of the last ``period`` lines at its phase, the period being the lag
+    # back to a line that ends in the last line's text; else (len(body), 0).
+    n = len(body)
+    last = body[-1].removeprefix(f"step {n} ") if body else ""
+    lags = map(str.endswith, islice(reversed(body), 1, None), repeat(last))
+    p = next(compress(count(1), lags), 0)
+    if not p:
+        return n, 0
+    texts = map(str.removeprefix, body[n - p :], map("step {} ".format, count(n - p + 1)))
+    implied = zip(count(n, -1), cycle(list(texts)[::-1]), reversed(body))
+    differs = (f"step {i} {text}" != line for i, text, line in implied)
+    return n - next(compress(count(), differs), n), p
 
 
 def read_trace(path) -> Execution:

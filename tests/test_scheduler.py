@@ -27,12 +27,14 @@ from minplus import (
     StopCriterion,
     Topology,
     WellBehaved,
+    build,
     compute_containment_areas,
     continue_run,
     enabled_set,
     grid_topology,
     is_contained,
     make_fault_model,
+    parse_scenario,
     path_topology,
     random_config,
     read_trace,
@@ -43,6 +45,7 @@ from minplus import (
     violations,
     write_trace,
 )
+import minplus.scheduler
 from minplus.scheduler import RANDOM, parse_trace
 
 from _oracles import (
@@ -913,10 +916,8 @@ def run_case(case):
     return run(topo, fm, init, daemon, adversary, StopCriterion(max_steps=max_steps), seed=seed)
 
 
-@settings(max_examples=200, deadline=None)
-@given(engine_cases(max_n=10))
-def test_trace_round_trip_reproduces_the_execution(case):
-    ex = run_case(case)
+def check_round_trip(ex):
+    """Load the trace of ``ex`` and check it against ``ex``; return it."""
     text = trace_text(ex)
     back = parse_trace(text)
     assert back.configs == ex.configs
@@ -924,8 +925,16 @@ def test_trace_round_trip_reproduces_the_execution(case):
         (s.activated, s.byz_writes) for s in ex.steps
     ]
     assert trace_text(back) == text
+    assert verify_replay(back) is None
     # Equal configurations load as one object.
     assert len(set(map(id, back.configs))) == len(set(back.configs))
+    return back
+
+
+@settings(max_examples=200, deadline=None)
+@given(engine_cases(max_n=10))
+def test_trace_round_trip_reproduces_the_execution(case):
+    check_round_trip(run_case(case))
 
 
 # A token is a run of characters between the trace's separators.
@@ -958,6 +967,136 @@ def test_edited_trace_loads_or_is_a_value_error(case, data):
     verify_replay(back)  # a loaded trace can always be checked
     # A trace holds only what trace_text writes, so it re-encodes to itself.
     assert trace_text(back) == edited
+
+
+# ---------------------------------------------------------------------------
+# Long runs that end in a repeating tail, which the codec and the replay
+# check read once per period: the round trip, edits inside the tail, and
+# the replay check of a tampered tail.
+# ---------------------------------------------------------------------------
+
+
+def step_lines(text):
+    lines = text.splitlines()
+    return lines[lines.index("init-end") + 1 : -1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_cases(max_n=8, max_steps=400, adversaries=(Oscillator, Silent, FakeRoot)))
+def test_long_periodic_runs_round_trip(case):
+    check_round_trip(run_case(case))
+
+
+def test_a_text_tail_that_starts_a_period_before_the_configurations_repeat():
+    # From step 13 on, each step line repeats the text of the line six
+    # before it, but configuration 12 is not configuration 18, only 13 is
+    # 19: a parser that reads the tail once per period must load a second
+    # period before the configurations repeat.
+    topo, fm = build(parse_scenario("grid w=8 h=8 byz=2"))
+    init = random_config(topo, random.Random(3 ^ 0x5EED))
+    daemon = DaemonPolicy(SYNCHRONOUS, RANDOM)
+    ex = run(topo, fm, init, daemon, Oscillator(3), StopCriterion(max_steps=200), seed=3)
+    texts = [line.split(" ", 2)[2] for line in step_lines(trace_text(ex))]
+    assert texts[12:-6] == texts[18:] and texts[11] != texts[17]
+    assert minplus.scheduler._tail(ex.configs, ex.steps) == (13, 6)
+    back = check_round_trip(ex)
+    assert minplus.scheduler._tail(back.configs, back.steps) == (13, 6)
+
+
+def tail_run():
+    """200 steps on a five-process path whose end is Byzantine; from
+    configuration 4 on, the run repeats a period of six steps."""
+    topo, fm = path_case(5, byz=[4])
+    daemon = DaemonPolicy(CENTRAL, RANDOM)
+    stop = StopCriterion(max_steps=200)
+    return run(topo, fm, corrupted(topo, fm), daemon, Oscillator(1), stop, seed=3)
+
+
+def test_the_tail_run_ends_in_a_period():
+    ex = tail_run()
+    assert minplus.scheduler._tail(ex.configs, ex.steps) == (4, 6)
+    assert step_lines(trace_text(ex))[-2:] == [
+        "step 199 act= byz= chg=",
+        "step 200 act= byz=4:3:10 chg=4:3:10",
+    ]
+    check_round_trip(ex)
+
+
+def _tail_edit(lines, at, name):
+    # ``at(i)`` is the index of the line of step i.
+    if name == "last line renumbered":
+        lines[at(200)] = lines[at(200)].replace("step 200 ", "step 201 ")
+    elif name == "prefix dropped":
+        lines[at(150)] = lines[at(150)].removeprefix("step 150 ")
+    elif name == "deleted":
+        del lines[at(150)]
+    elif name == "deleted, end renumbered":
+        del lines[at(150)]
+        lines[-1] = "end 199"
+    elif name == "duplicated":
+        lines.insert(at(150), lines[at(150)])
+    elif name == "duplicated, end renumbered":
+        lines.insert(at(150), lines[at(150)])
+        lines[-1] = "end 201"
+    elif name == "swapped":
+        lines[at(150)], lines[at(151)] = lines[at(151)], lines[at(150)]
+    elif name == "last chg= unchanged":
+        lines[at(200)] = lines[at(200)].replace("chg=4:3:10", "chg=4:-1:0")
+    elif name == "last chg= out of range":
+        lines[at(200)] = lines[at(200)].replace("chg=4:3:10", "chg=5:3:10")
+
+
+# Each message as the parser gave it when it read every step line in turn.
+TAIL_EDITS = {
+    "last line renumbered": "expected step 200, got 'step 201 act= byz=4:3:10 chg=4:3:10'",
+    "prefix dropped": "expected step 150, got 'act=3 byz= chg=3:4:1'",
+    "deleted": "trace step count mismatch",
+    "deleted, end renumbered": "expected step 150, got 'step 151 act= byz= chg='",
+    "duplicated": "trace step count mismatch",
+    "duplicated, end renumbered": "expected step 151, got 'step 150 act=3 byz= chg=3:4:1'",
+    "swapped": "expected step 150, got 'step 151 act= byz= chg='",
+    "last chg= unchanged": "step 200: chg= names process 4, which does not change",
+    "last chg= out of range": "step 200: process 5 out of range 0..4",
+}
+
+
+@pytest.mark.parametrize("name", TAIL_EDITS)
+def test_an_edit_inside_the_tail_is_the_error_it_was(name):
+    lines = trace_text(tail_run()).splitlines()
+    first = lines.index("init-end")
+    _tail_edit(lines, lambda i: first + i, name)
+    with pytest.raises(ValueError) as caught:
+        parse_trace("\n".join(lines) + "\n")
+    assert str(caught.value) == TAIL_EDITS[name]
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_replay_checks_edits_in_the_last_period(loaded):
+    ex = tail_run()
+    if loaded:
+        ex = parse_trace(trace_text(ex))
+    start, period = minplus.scheduler._tail(ex.configs, ex.steps)
+    k = len(ex.steps) - 2
+    assert k - period > start
+    original, rec = ex.configs[k], ex.steps[k]
+    ex.configs[k] = tuple(original)  # an equal copy is checked and holds
+    assert verify_replay(ex) is None
+    states = list(original)
+    states[2] = ProcState(states[2].prnt, states[2].level + 1)
+    ex.configs[k] = tuple(states)
+    assert verify_replay(ex) == k
+    ex.configs[k] = original
+    assert verify_replay(ex) is None
+    ex.steps[k] = StepRecord(rec.activated, rec.byz_writes + ((3, ProcState(None, 0)),))
+    assert verify_replay(ex) == k + 1
+    ex.steps[k] = rec
+    # Lists that do not pair stop pairing after the last full step.
+    ex.configs.append(ex.configs[-1 - period])
+    assert verify_replay(ex) == 201
+    del ex.configs[-4:]
+    assert verify_replay(ex) == 198
+    del ex.steps[-5:]
+    assert verify_replay(ex) == 196
 
 
 # ---------------------------------------------------------------------------
