@@ -232,30 +232,24 @@ class _Index:
     repeats.  Per-step sequences are streamed through C-level passes, so no
     Python loop runs once per step and nothing per step is kept.
 
-    The tail (see ``_tail``) is proved by identity, never trusted.  A pass
-    from configuration ``lo`` reads up to ``head(lo)``, one whole period
-    into the tail, and folds in the rest from that period, so it costs the
-    prefix plus one or two periods.  The index lives for one call of a
-    public pass, or one ``measure`` or ``violations`` call, which hands it
-    to the passes it makes, since ``ex.configs`` may change between calls.
+    A pass from configuration ``lo`` reads up to ``tail.head(lo)``, one
+    period into the tail that ``_tail`` proves, and folds in the rest from
+    that period, so it costs the prefix plus one or two periods.  The index
+    lives for one call of a public pass, or one ``measure`` or
+    ``violations`` call, which hands it to the passes it makes, since
+    ``ex.configs`` may change between calls.
     """
 
     def __init__(self, ex: Execution):
         self.ex = ex
         self.configs = configs = ex.configs
-        self.end = len(configs) - 1
-        self.start, self.period = _tail(configs, ex.steps)
+        self.tail = tail = _tail((configs, ex.steps))
         # Each distinct configuration under its id, in order of first
-        # appearance; none first appears after the tail's first period.
-        self.config = _by_id(configs[: self.start + self.period])
+        # appearance; none first appears after the head of the tail.
+        self.config = _by_id(configs[: tail.head() + 1])
         fm = ex.fm
         self.correct = [v for v in ex.topo.processes() if fm.is_correct(v)]
         self._watched: dict[tuple[int, ...], _Memo] = {}
-
-    def head(self, lo: int) -> int:
-        """The configuration up to which a pass from ``lo`` reads: steps
-        after it repeat the period of steps before it."""
-        return min(self.end, max(lo, self.start) + self.period)
 
     def pairs(self, lo: int = 0, hi: int | None = None):
         """The (before, after) id pair of each step after configuration
@@ -265,11 +259,11 @@ class _Index:
     def tally(self, items, lo: int, hi: int) -> Counter:
         """``Counter(items(lo, hi))``, where ``items(a, b)`` yields something
         for each step after configuration ``a`` up to ``b``; the steps past
-        ``head(lo)`` are counted as whole periods plus a remainder."""
-        p = self.period
+        ``tail.head(lo)`` are counted as whole periods plus a remainder."""
+        p = self.tail.period
         if not p:
             return Counter(items(lo, hi))
-        h = min(hi, self.head(lo))
+        h = min(hi, self.tail.head(lo))
         out = Counter(items(lo, h))
         if hi > h:
             laps, rest = divmod(hi - h, p)
@@ -295,12 +289,12 @@ class _Index:
 
     def changing_steps(self, watch: list[int], lo: int = 0) -> list[int]:
         """The steps after configuration ``lo`` that change a process of
-        ``watch``.  Past ``head(lo)`` they are looked for only if the
+        ``watch``.  Past ``tail.head(lo)`` they are looked for only if the
         period before it holds one."""
         moves = self.watched(watch).__getitem__
-        h = self.head(lo)
+        h = self.tail.head(lo)
         found = list(compress(count(lo + 1), map(moves, self.pairs(lo, h))))
-        if found and found[-1] > h - self.period:
+        if found and found[-1] > h - self.tail.period:
             found += compress(count(h + 1), map(moves, self.pairs(h)))
         return found
 
@@ -353,7 +347,7 @@ def segment_disruptions(
     idx = _index(ex)
     topo, fm = idx.ex.topo, idx.ex.fm
     area = _check_area(topo, fm, area)
-    _check_index("from_index", from_index, idx.end)
+    _check_index("from_index", from_index, idx.tail.end)
     watch = _watch_set(topo, fm, area)
     changes = idx.changing_steps(watch, from_index)
     if not changes:
@@ -393,8 +387,8 @@ def segment_disruptions(
             bottom = c
             k += 1
             continue
-        # A boundary past head(c) would repeat one a period before it.
-        end = next((j for j in range(c, idx.head(c) + 1) if anchor(j)), None)
+        # A boundary past the head would repeat one a period before it.
+        end = next((j for j in range(c, idx.tail.head(c) + 1) if anchor(j)), None)
         if end is None:
             break
         touched = frozenset(v for pair in set(idx.pairs(start, end)) for v in watched[pair])
@@ -413,7 +407,7 @@ def activation_counts(ex: Execution, from_index: int = 0) -> dict[int, int]:
     ``from_index``, which must lie in 0..the last configuration."""
     idx = _index(ex)
     steps = idx.ex.steps
-    _check_index("from_index", from_index, idx.end)
+    _check_index("from_index", from_index, idx.tail.end)
 
     def activated(lo: int, hi: int):
         # Activation sets are small, so one C-level count over their members
@@ -437,8 +431,8 @@ def change_counts(
     """
     idx = _index(ex)
     if to_index is None:
-        to_index = idx.end
-    _check_index("to_index", to_index, idx.end)
+        to_index = idx.tail.end
+    _check_index("to_index", to_index, idx.tail.end)
     _check_index("from_index", from_index, to_index)
     counts = dict.fromkeys(idx.correct, 0)
     moved = idx.watched(idx.correct)
@@ -507,7 +501,7 @@ def containment_violations(
     idx = _index(ex)
     topo, fm = idx.ex.topo, idx.ex.fm
     watch = _watch_set(topo, fm, _check_area(topo, fm, area))
-    _check_index("from_index", from_index, idx.end)
+    _check_index("from_index", from_index, idx.tail.end)
     watched, configs = idx.watched(watch), idx.configs
     return [
         (i, v)
@@ -533,7 +527,7 @@ def floor_closure_violations(ex: Execution) -> list[tuple[int, int]]:
     idx = _index(ex)
     distinct = idx.config
     height = dict(zip(distinct, _floor_heights(idx.ex.topo, idx.ex.fm, list(distinct.values()))))
-    reach = islice(idx.configs, idx.start + 2 * idx.period)
+    reach = islice(idx.configs, idx.tail.head(idx.tail.head()) + 1)
     heights = list(map(height.__getitem__, map(id, reach)))
     out = []
     # Depths at which the floor held at some earlier configuration and has

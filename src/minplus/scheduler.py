@@ -38,10 +38,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, cycle, filterfalse, islice, pairwise, repeat, takewhile, tee
-from operator import and_, is_, is_not
+from functools import partial, reduce
+from itertools import compress, count, cycle, filterfalse, islice, pairwise, repeat, takewhile
+from operator import eq, is_not, ne, not_, or_
 from pathlib import Path
-from typing import Callable
+from sys import intern
+from typing import Callable, NamedTuple
 
 from .adversary import Adversary, advise
 from .errors import ContractViolation
@@ -236,10 +238,11 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
         daemon.kind == DISTRIBUTED and daemon.fairness == ROUND_ROBIN
     )
     # The predicate is ``pending`` until it first holds; then the step
-    # limit drops to ``extra_after`` steps past that point.  No cycle is
-    # closed while it is pending, since it must see every configuration.
-    limit, pending = stop.max_steps, stop.predicate
-    steps_done = 0
+    # limit, the step count at which the run ends, drops to ``extra_after``
+    # steps past that point.  No cycle is closed while it is pending, since
+    # it must see every configuration.
+    now = len(ex.steps)
+    limit, pending = now + stop.max_steps, stop.predicate
     # Whether a step is forced (see the module docstring) depends only on
     # the configuration: a distributed daemon's one enabled process acts
     # whatever its coins say, and with nothing enabled the central daemon
@@ -252,12 +255,11 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
     # only while nothing correct is enabled.
     forced: dict[tuple, int] = {}
     lone_forced = daemon.kind == DISTRIBUTED
-    base = len(ex.steps)
 
-    while steps_done < limit:
+    while now < limit:
         cfg = ex.configs[-1]
         if pending is not None and pending(cfg):
-            limit, pending = min(limit, steps_done + stop.extra_after), None
+            limit, pending = min(limit, now + stop.extra_after), None
             continue
         if since and not every and (len(since) > 1 or not lone_forced):
             if forced:
@@ -265,11 +267,11 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
         elif pending is None:
             phase = adversary.phase(len(ex.configs))
             if phase is not None:
-                first = forced.setdefault((id(cfg), phase), steps_done)
-                if first != steps_done:
-                    left = limit - steps_done
-                    ex.steps.extend(islice(cycle(ex.steps[base + first :]), left))
-                    ex.configs.extend(islice(cycle(ex.configs[base + first + 1 :]), left))
+                first = forced.setdefault((id(cfg), phase), now)
+                if first != now:
+                    tail = _Lasso(first, now - first, now)
+                    tail.extend(ex.steps, limit - now)
+                    tail.extend(ex.configs, limit - now)
                     return
         writes = advise(adversary, topo, fm, ex.configs)
         idle = not since and not writes
@@ -341,7 +343,7 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
         new_cfg, rec, on, off = transition
         ex.steps.append(rec)
         ex.configs.append(new_cfg)
-        steps_done += 1
+        now += 1
 
         if slot_counts:
             slots += 1
@@ -371,35 +373,56 @@ def _by_id(items) -> dict:
     return dict(zip(map(id, items), items))
 
 
-def _tail(configs: list[Config], steps: list) -> tuple[int, int]:
-    """``(start, period)``: from configuration ``start`` on, each
-    configuration and each record is the same object as the one ``period``
-    steps later.  The period is the lag back to the last step's
-    configuration and record; ``start`` is one past the last index, found
-    scanning back from the end, at which either list breaks that period.
-    Without such a lag, or when the lists do not pair up,
-    ``(len(configs), 0)``.  The one proof of a tail, by identity, never
-    trusted from the engine: the analysis passes, ``trace_text`` and
-    ``verify_replay`` read steps up to ``start + period`` and no later."""
-    n = len(steps)
-    if not n or len(configs) != n + 1:
-        return len(configs), 0
-    before, record = configs[-2], steps[-1]
-    lags = map(
-        and_,
-        map(is_, islice(reversed(configs), 2, None), repeat(before)),
-        map(is_, islice(reversed(steps), 1, None), repeat(record)),
-    )
-    p = next(compress(count(1), lags), None)
-    if p is None:
-        return len(configs), 0
-    start = 0
-    for seq, last in ((configs, n), (steps, n - 1)):
-        # seq[last - k] and seq[last - k - p], from k = 0 on.
-        k = next(compress(count(), map(is_not, reversed(seq), islice(reversed(seq), p, None))), None)
-        if k is not None:
-            start = max(start, last - k - p + 1)
-    return start, p
+_LAGS = 8
+
+
+class _Lasso(NamedTuple):
+    """A repeating tail: from ``start`` on, each item is the one ``period``
+    later, up to ``end``, the first list's last index (no tail: ``end + 1, 0``)."""
+
+    start: int
+    period: int
+    end: int
+
+    def head(self, lo: int = 0) -> int:
+        """The last index a pass from ``lo`` reads: one period into the tail."""
+        return min(self.end, max(lo, self.start) + self.period)
+
+    def extend(self, seq: list, k: int) -> None:
+        """Append ``k`` items to ``seq`` that repeat its last period."""
+        seq.extend(islice(cycle(seq[len(seq) - self.period :]), k))
+
+
+def _tail(seqs, differs=is_not) -> _Lasso:
+    """The repeating tail of ``seqs``, lists indexed alike, each one item
+    shorter than the one before (a stored run's configurations and the
+    records between them, or a trace's step texts), by ``differs``:
+    ``is_not`` for objects, ``ne`` for texts; the one proof of a tail, never
+    trusted from the engine.  Of the ``_LAGS`` nearest lags at which the
+    item at the last index of all lists recurs, the one whose tail has the
+    earliest head is taken, the nearest among ties: the nearest alone falls
+    short when, say, idle steps recur inside a longer period.  A lag is not
+    scanned once it reaches the best head, or once the best tail is as long
+    as both lags (by Fine and Wilf it could not start earlier)."""
+    end, last = len(seqs[0]) - 1, len(seqs[-1]) - 1
+    start, period = end + 1, 0
+    if last < 1 or end - last != len(seqs) - 1:
+        return _Lasso(start, period, end)
+    # Whether each list's item at ``last`` differs from each earlier one.
+    moved = [map(differs, islice(reversed(seq), len(seq) - last, None), repeat(seq[last])) for seq in seqs]
+    for p in islice(compress(count(1), map(not_, reduce(partial(map, or_), moved))), _LAGS):
+        if p >= start + period:
+            break
+        if period and start + p + period <= last + 1:
+            continue
+        lo = 0
+        for seq in seqs:
+            # seq[i] against seq[i - p], from the last item back.
+            pairs = map(differs, reversed(seq), islice(reversed(seq), p, None))
+            lo = max(lo, len(seq) - p - next(compress(count(), pairs), len(seq) - p))
+        if lo + p < start + period:
+            start, period = lo, p
+    return _Lasso(start, period, end)
 
 
 class _Memo(dict):
@@ -425,14 +448,14 @@ def verify_replay(ex: Execution) -> int | None:
     ``min(len(steps), len(configs) - 1) + 1``.  Returns None when the whole
     trace is reproduced exactly.  Each distinct transition, by the identity
     of its configurations and record, is re-applied once, so a tampered
-    repeat (a new object) is still checked.  No step past one period into
-    a repeating tail (see ``_tail``) is read: each is, by identity, the
+    repeat (a new object) is still checked.  No step past the head of the
+    repeating tail that ``_tail`` proves is read: each is, by identity, the
     transition a period before it, and a tampered one ends the tail.
     """
     configs, steps = ex.configs, ex.steps
-    start, period = _tail(configs, steps)
+    head = _tail((configs, steps)).head()
     verified: set[tuple[int, int, int]] = set()
-    for i, rec, (before, after) in zip(range(1, start + period + 1), steps, pairwise(configs)):
+    for i, rec, (before, after) in zip(range(1, head + 1), steps, pairwise(configs)):
         key = (id(before), id(rec), id(after))
         if key in verified:
             continue
@@ -488,10 +511,10 @@ def _state_token(entry: tuple[int, ProcState]) -> str:
 
 def trace_text(ex: Execution) -> str:
     """The trace of ``ex``.  Each distinct transition is encoded once, and
-    past one period into a repeating tail (see ``_tail``) each step line is
-    its number plus the text of the line a period before it."""
-    start, period = _tail(ex.configs, ex.steps)
-    head = min(start + period, len(ex.steps))
+    past the head of the repeating tail that ``_tail`` proves, each step
+    line is its number plus the text of the line a period before it."""
+    tail = _tail((ex.configs, ex.steps))
+    head = tail.head()
     configs, records = _by_id(ex.configs[: head + 1]), _by_id(ex.steps[:head])
     procs = range(len(ex.configs[0]))
     token = _Memo(_state_token).__getitem__
@@ -511,8 +534,8 @@ def trace_text(ex: Execution) -> str:
     # ``((id(before), id(after)), id(record))`` of each step up to the head.
     keys = zip(pairwise(map(id, islice(ex.configs, head + 1))), map(id, islice(ex.steps, head)))
     written = list(map(texts.__getitem__, keys))
-    tail = islice(cycle(written[head - period :]), len(ex.steps) - head)
-    lines += [f"step {i} {text}" for i, text in zip(count(1), chain(written, tail))]
+    tail.extend(written, len(ex.steps) - len(written))
+    lines += [f"step {i} {text}" for i, text in zip(count(1), written)]
     lines.append(f"end {len(ex.steps)}")
     return "\n".join(lines) + "\n"
 
@@ -526,8 +549,9 @@ def parse_trace(text: str) -> Execution:
 
     Only what ``trace_text`` could have written loads, byte for byte.  Lines
     end in ``\\n`` alone (``read_trace`` reads other line endings as
-    ``\\n``).  Step lines that repeat the text of those a period before
-    them are decoded once per period, once the configurations repeat too.
+    ``\\n``).  The step texts' repeating tail (see ``_tail``) is decoded
+    two periods in, where the configurations repeat too, and the last
+    period loaded is repeated for the rest.
     """
     lines = text.split("\n")
     if lines[0] != _TRACE_MAGIC:
@@ -615,46 +639,41 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
         rec = StepRecord(activated=frozenset(acts), byz_writes=_states(byz, n))
         return interned.setdefault(rec, rec), _states(chg, n)
 
+    def successor(key: tuple[int, str]) -> tuple[StepRecord, Config]:
+        # Step text key[1]'s record and what it makes of ``cfg`` (id key[0]).
+        rec, changed = texts[key[1]]
+        new = list(cfg)
+        for v, state in changed:
+            if new[v] == state:
+                raise ValueError(f"chg= names process {v}, which does not change")
+            new[v] = state
+        new = tuple(new)
+        return rec, interned.setdefault(new, new)
+
     # A run repeats few distinct transitions, so each distinct step text is
-    # decoded once, and each distinct (configuration, step text) pair applied
-    # and checked once.
-    texts = _Memo(decode)
-    decoded: dict[tuple[int, str], tuple[StepRecord, Config]] = {}
+    # kept (interned) and decoded once, and each distinct (configuration,
+    # step text) pair applied and checked once.
+    texts, decoded = _Memo(decode), _Memo(successor)
     configs, steps = ex.configs, ex.steps
-    # Line i must start "step i ": each head is formatted once, then both
-    # checked and stripped.
-    heads, strip = tee(map("step {} ".format, count(1)))
-    numbered = zip(count(1), map(str.startswith, body, heads), map(str.removeprefix, body, strip))
-    # Lines past ``start`` repeat the line a period before them, and the same
-    # texts applied twice from any configuration end at the same one: two
-    # periods past ``start`` at the latest, the configurations repeat too.
-    start, period = _text_tail(body)
-    for hi in (start + period, start + 2 * period, len(body)):
-        for i, ok, text in islice(numbered, hi - len(steps)):
-            if not ok:
-                raise ValueError(f"expected step {i}, got {body[i - 1][:40]!r}")
-            key = (id(cfg), text)
-            found = decoded.get(key)
-            if found is None:
-                try:
-                    rec, changed = texts[text]
-                except ValueError as exc:
-                    raise ValueError(f"step {i}: {exc}") from None
-                new = list(cfg)
-                for v, state in changed:
-                    if new[v] == state:
-                        raise ValueError(f"step {i}: chg= names process {v}, which does not change")
-                    new[v] = state
-                new = tuple(new)
-                found = decoded[key] = (rec, interned.setdefault(new, new))
-            rec, cfg = found
-            steps.append(rec)
-            configs.append(cfg)
-        if hi >= len(body) or configs[hi - period] is configs[hi]:
-            break
-    left = max(len(body) - hi, 0)
-    steps.extend(islice(cycle(steps[hi - period :]), left))
-    configs.extend(islice(cycle(configs[hi - period + 1 :]), left))
+    # Line i must start "step i ": the texts end before the first that does not.
+    stripped = [intern(line.removeprefix(f"step {i} ")) for i, line in enumerate(body, 1)]
+    wrong = next(compress(count(), map(eq, stripped, body)), len(body))
+    del stripped[wrong:]
+    # The texts repeat from ``tail.start`` on, and the same texts applied
+    # twice from any configuration end at the same one, so two periods into
+    # the tail the configurations repeat too.
+    tail = _tail((stripped,), ne)
+    for i, text in zip(count(1), islice(stripped, tail.head(tail.head()) + 1)):
+        try:
+            rec, cfg = decoded[id(cfg), text]
+        except ValueError as exc:
+            raise ValueError(f"step {i}: {exc}") from None
+        steps.append(rec)
+        configs.append(cfg)
+    if wrong < len(body):
+        raise ValueError(f"expected step {wrong + 1}, got {body[wrong][:40]!r}")
+    tail.extend(configs, len(body) - len(steps))
+    tail.extend(steps, len(body) - len(steps))
     if meta["steps"] != len(steps):
         raise ValueError(
             f"trace header says {meta['steps']} steps, the trace has {len(steps)}"
@@ -664,22 +683,6 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
             "trace header, topology or initial configuration not as trace_text writes it"
         )
     return ex
-
-
-def _text_tail(body: list[str]) -> tuple[int, int]:
-    # ``(start, period)``: each step line past ``start`` is "step i " plus the
-    # text of the last ``period`` lines at its phase, the period being the lag
-    # back to a line that ends in the last line's text; else (len(body), 0).
-    n = len(body)
-    last = body[-1].removeprefix(f"step {n} ") if body else ""
-    lags = map(str.endswith, islice(reversed(body), 1, None), repeat(last))
-    p = next(compress(count(1), lags), 0)
-    if not p:
-        return n, 0
-    texts = map(str.removeprefix, body[n - p :], map("step {} ".format, count(n - p + 1)))
-    implied = zip(count(n, -1), cycle(list(texts)[::-1]), reversed(body))
-    differs = (f"step {i} {text}" != line for i, text, line in implied)
-    return n - next(compress(count(), differs), n), p
 
 
 def read_trace(path) -> Execution:

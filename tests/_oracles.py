@@ -276,3 +276,34 @@ def step_lines(configs, records) -> list[str]:
         chg = ",".join(token(v, after[v]) for v in range(len(after)) if after[v] != before[v])
         lines.append(f"step {i} act={act} byz={byz} chg={chg}")
     return lines
+
+
+def lag_tails(seqs, same) -> list[tuple[int, int]]:
+    """(lag, start) for every lag at which the item at the last index all
+    of ``seqs`` have recurs, nearest first, by ``same``: from ``start`` on,
+    each item of each list is the one ``lag`` later.  Every pair is
+    compared, one at a time, walking down each list from its last item."""
+    last = min(len(seq) for seq in seqs) - 1
+    out = []
+    for lag in range(1, last + 1):
+        if not all(same(seq[last - lag], seq[last]) for seq in seqs):
+            continue
+        start = 0
+        for seq in seqs:
+            i = len(seq) - 1
+            while i - lag >= 0 and same(seq[i], seq[i - lag]):
+                i -= 1
+            start = max(start, i - lag + 1)
+        out.append((lag, start))
+    return out
+
+
+def longest_tail(seqs, same) -> tuple[int, int]:
+    """(start, period) of the tail over every lag of ``lag_tails`` with
+    the most items past its head, ``start + period``, the nearest lag among
+    ties; ``(len(seqs[0]), 0)`` without one."""
+    heads = [(start + lag, lag) for lag, start in lag_tails(seqs, same)]
+    if not heads:
+        return len(seqs[0]), 0
+    head, lag = min(heads)
+    return head - lag, lag

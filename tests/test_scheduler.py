@@ -3,9 +3,10 @@ import hashlib
 import json
 import random
 import re
+from operator import eq, is_, is_not, ne
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minplus import (
@@ -51,6 +52,8 @@ from minplus.scheduler import RANDOM, parse_trace
 from _oracles import (
     floyd_warshall,
     is_parent_spanning_tree,
+    lag_tails,
+    longest_tail,
     random_connected_edges,
     reference_guard,
     reference_rule,
@@ -998,9 +1001,9 @@ def test_a_text_tail_that_starts_a_period_before_the_configurations_repeat():
     ex = run(topo, fm, init, daemon, Oscillator(3), StopCriterion(max_steps=200), seed=3)
     texts = [line.split(" ", 2)[2] for line in step_lines(trace_text(ex))]
     assert texts[12:-6] == texts[18:] and texts[11] != texts[17]
-    assert minplus.scheduler._tail(ex.configs, ex.steps) == (13, 6)
+    assert minplus.scheduler._tail((ex.configs, ex.steps))[:2] == (13, 6)
     back = check_round_trip(ex)
-    assert minplus.scheduler._tail(back.configs, back.steps) == (13, 6)
+    assert minplus.scheduler._tail((back.configs, back.steps))[:2] == (13, 6)
 
 
 def tail_run():
@@ -1014,7 +1017,7 @@ def tail_run():
 
 def test_the_tail_run_ends_in_a_period():
     ex = tail_run()
-    assert minplus.scheduler._tail(ex.configs, ex.steps) == (4, 6)
+    assert minplus.scheduler._tail((ex.configs, ex.steps))[:2] == (4, 6)
     assert step_lines(trace_text(ex))[-2:] == [
         "step 199 act= byz= chg=",
         "step 200 act= byz=4:3:10 chg=4:3:10",
@@ -1022,28 +1025,30 @@ def test_the_tail_run_ends_in_a_period():
     check_round_trip(ex)
 
 
-def _tail_edit(lines, at, name):
-    # ``at(i)`` is the index of the line of step i.
+def _tail_edit(lines, at, name, mid=150, held="4:-1:0"):
+    # ``at(i)`` is the index of the line of step i; ``mid`` is the step of
+    # the edits in the middle of the tail, and ``held`` the token of
+    # process 4 as it stands before step 200.
     if name == "last line renumbered":
         lines[at(200)] = lines[at(200)].replace("step 200 ", "step 201 ")
     elif name == "prefix dropped":
-        lines[at(150)] = lines[at(150)].removeprefix("step 150 ")
+        lines[at(mid)] = lines[at(mid)].removeprefix(f"step {mid} ")
     elif name == "deleted":
-        del lines[at(150)]
+        del lines[at(mid)]
     elif name == "deleted, end renumbered":
-        del lines[at(150)]
+        del lines[at(mid)]
         lines[-1] = "end 199"
     elif name == "duplicated":
-        lines.insert(at(150), lines[at(150)])
+        lines.insert(at(mid), lines[at(mid)])
     elif name == "duplicated, end renumbered":
-        lines.insert(at(150), lines[at(150)])
+        lines.insert(at(mid), lines[at(mid)])
         lines[-1] = "end 201"
     elif name == "swapped":
-        lines[at(150)], lines[at(151)] = lines[at(151)], lines[at(150)]
+        lines[at(mid)], lines[at(mid + 1)] = lines[at(mid + 1)], lines[at(mid)]
     elif name == "last chg= unchanged":
-        lines[at(200)] = lines[at(200)].replace("chg=4:3:10", "chg=4:-1:0")
+        lines[at(200)] = lines[at(200)].partition(" chg=")[0] + f" chg={held}"
     elif name == "last chg= out of range":
-        lines[at(200)] = lines[at(200)].replace("chg=4:3:10", "chg=5:3:10")
+        lines[at(200)] = lines[at(200)].partition(" chg=")[0] + " chg=5:3:10"
 
 
 # Each message as the parser gave it when it read every step line in turn.
@@ -1070,12 +1075,112 @@ def test_an_edit_inside_the_tail_is_the_error_it_was(name):
     assert str(caught.value) == TAIL_EDITS[name]
 
 
+def idle_run():
+    """200 steps of the central round-robin daemon on the same path against
+    ``Oscillator(4)``: from configuration 3 on, a period of eight steps,
+    two of them idle steps at one configuration, and the run ends on those
+    two."""
+    topo, fm = path_case(5, byz=[4])
+    daemon = DaemonPolicy(CENTRAL, ROUND_ROBIN)
+    stop = StopCriterion(max_steps=200)
+    return run(topo, fm, corrupted(topo, fm), daemon, Oscillator(4), stop, seed=0)
+
+
+def test_the_tail_is_the_longest_of_the_nearest_lags():
+    # The last step recurs one step back, an idle step after an idle step,
+    # but at that lag the tail is two steps long; the period is eight.
+    ex = idle_run()
+    text = trace_text(ex)
+    assert step_lines(text)[-3:] == [
+        "step 198 act=3 byz= chg=3:2:3",
+        "step 199 act= byz= chg=",
+        "step 200 act= byz= chg=",
+    ]
+    assert minplus.scheduler._tail((ex.configs, ex.steps))[:2] == (3, 8)
+    back = check_round_trip(ex)
+    assert minplus.scheduler._tail((back.configs, back.steps))[:2] == (3, 8)
+    texts = [line.split(" ", 2)[2] for line in step_lines(text)]
+    assert minplus.scheduler._tail((texts,), ne)[:2] == (3, 8)
+
+
+# The same edits in the idle run, at step 151: an idle step, so the line
+# without its "step 151 " prefix reads "act= byz= chg=", the text of the
+# lines one and eight steps before it.  Each message as the parser gave it
+# when it read every step line in turn.
+IDLE_TAIL_EDITS = {
+    "last line renumbered": "expected step 200, got 'step 201 act= byz= chg='",
+    "prefix dropped": "expected step 151, got 'act= byz= chg='",
+    "deleted": "trace step count mismatch",
+    "deleted, end renumbered": "expected step 151, got 'step 152 act= byz= chg='",
+    "duplicated": "trace step count mismatch",
+    "duplicated, end renumbered": "expected step 152, got 'step 151 act= byz= chg='",
+    "swapped": "expected step 151, got 'step 152 act= byz= chg='",
+    "last chg= unchanged": "step 200: chg= names process 4, which does not change",
+    "last chg= out of range": "step 200: process 5 out of range 0..4",
+}
+
+
+@pytest.mark.parametrize("name", IDLE_TAIL_EDITS)
+def test_an_edit_inside_an_idle_tail_is_the_error_it_was(name):
+    lines = trace_text(idle_run()).splitlines()
+    first = lines.index("init-end")
+    _tail_edit(lines, lambda i: first + i, name, mid=151, held="4:3:10")
+    with pytest.raises(ValueError) as caught:
+        parse_trace("\n".join(lines) + "\n")
+    assert str(caught.value) == IDLE_TAIL_EDITS[name]
+
+
+STAR = Topology.from_edges(5, 0, [(0, 1), (0, 2), (0, 3), (0, 4)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # ``Silent`` is ``Adversary`` itself, so the type, not ``isinstance``.
+    engine_cases(max_n=8, max_steps=400).filter(lambda case: type(case[4]) in (Oscillator, Silent))
+)
+@example(
+    # The step texts repeat at lag 12 from index 3 on; at lag 71 the one
+    # pair is indices 1 and 72, a tail that starts earlier but whose head
+    # is the last index.
+    (
+        STAR,
+        make_fault_model(STAR, [1, 2, 3]),
+        (ProcState(None, 0), ProcState(None, 1)) + (ProcState(None, 0),) * 3,
+        DaemonPolicy(CENTRAL, ROUND_ROBIN),
+        Oscillator(6),
+        73,
+        0,
+    )
+)
+def test_the_tail_proof_against_every_lag(case):
+    # Both proofs, of a run's objects and of its trace's step texts: the
+    # tail holds item by item, its head is no later than the nearest lag's,
+    # and it is the longest tail of any lag whenever that lag is among the
+    # eight nearest.
+    ex = run_case(case)
+    texts = [line.split(" ", 2)[2] for line in step_lines(trace_text(ex))]
+    for seqs, differs, same in (((ex.configs, ex.steps), is_not, is_), ((texts,), ne, eq)):
+        tail = minplus.scheduler._tail(seqs, differs)
+        start, period, end = tail
+        for seq in seqs:
+            assert all(same(seq[i], seq[i + period]) for i in range(start, len(seq) - period))
+        lags = lag_tails(seqs, same)
+        if not lags:
+            assert tail == (len(seqs[0]), 0, len(seqs[0]) - 1)
+            continue
+        nearest, nearest_start = lags[0]
+        assert tail.head() <= min(end, nearest_start + nearest)
+        best = longest_tail(seqs, same)
+        if best[1] in [lag for lag, _ in lags[:8]]:
+            assert (start, period) == best
+
+
 @pytest.mark.parametrize("loaded", [False, True])
 def test_replay_checks_edits_in_the_last_period(loaded):
     ex = tail_run()
     if loaded:
         ex = parse_trace(trace_text(ex))
-    start, period = minplus.scheduler._tail(ex.configs, ex.steps)
+    start, period, _ = minplus.scheduler._tail((ex.configs, ex.steps))
     k = len(ex.steps) - 2
     assert k - period > start
     original, rec = ex.configs[k], ex.steps[k]
