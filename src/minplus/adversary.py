@@ -11,9 +11,12 @@ A strategy may also say it is periodic.  ``phase(step_index)`` returns
 ``None`` (the default: not periodic) or a hashable key such that ``writes``
 and ``done`` at that step depend only on the last configuration and the
 key, and two steps with equal keys have equal keys at the steps after them.
-The engine then repeats a cycle of forced steps, those whose outcome the
-daemon cannot change (see :mod:`minplus.scheduler`), without asking the
-strategy again.
+The engine then asks it once per distinct configuration and key in each
+``run`` or ``continue_run`` call and reuses the checked writes, so its
+``writes`` must keep no state across calls; and it repeats a cycle of
+forced steps, those whose outcome the daemon cannot change (see
+:mod:`minplus.scheduler`), without asking the strategy again.  A strategy
+whose key is ``None`` is asked at every step.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ class Adversary:
 
     def phase(self, step_index: int):
         """This step's key under the periodic contract of the module
-        docstring, or ``None``."""
+        docstring, or ``None``.  A strategy with a key is asked once per
+        distinct configuration and key in a run, so its ``writes`` must
+        keep no state across calls."""
         return None
 
 

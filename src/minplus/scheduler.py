@@ -30,7 +30,9 @@ activates every enabled process, or a distributed daemon has exactly one to
 pick.  In an unbroken stretch of forced steps, a periodic adversary
 (``Adversary.phase``) that brings back an earlier configuration and phase
 closes a cycle, and the rest of the run repeats it without asking the
-adversary again.
+adversary again.  Outside such a cycle, a periodic adversary is asked once
+per distinct configuration and phase in each ``run`` or ``continue_run``
+call, and its checked writes are reused; any other is asked at every step.
 """
 
 from __future__ import annotations
@@ -152,9 +154,10 @@ class Execution:
     steps: list[StepRecord] = field(default_factory=list)
     meta_extra: dict = field(default_factory=dict)
     # Each configuration and record the engine or ``parse_trace`` made for
-    # this execution, as its one shared object, and the engine's transitions
-    # from those objects (see ``_drive``); both last across ``continue_run``
-    # calls.
+    # this execution, as its one shared object (an engine's record also
+    # under its ``(activated, byz_writes)`` pair), and the engine's
+    # transitions from those objects (see ``_drive``); both last across
+    # ``continue_run`` calls.
     _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _transitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -212,7 +215,7 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
     topo, fm, daemon = ex.topo, ex.fm, ex.daemon
     byzantine = fm.byzantine
     neighbors = topo.neighbors
-    rng = random.Random(seed)
+    rng = None  # seeded at the first draw, which many runs never make
     window = topo.process_count
     # A run soon cycles through a few configurations, so each distinct
     # transition is computed once per execution.  Equal configurations are
@@ -220,7 +223,9 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
     # id names it in the transition key; the start is swapped for its twin
     # for the same reason.  A transition maps to the new configuration, its
     # record, and the affected correct processes that are enabled (``on``)
-    # and not enabled (``off``) after it.
+    # and not enabled (``off``) after it.  Each record is also interned
+    # under its ``(activated, byz_writes)`` pair, so a new transition finds
+    # it without building one.
     interned, transitions = ex._interned, ex._transitions
     cfg = ex.configs[-1]
     cfg = ex.configs[-1] = interned.setdefault(cfg, cfg)
@@ -255,31 +260,47 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
     # only while nothing correct is enabled.
     forced: dict[tuple, int] = {}
     lone_forced = daemon.kind == DISTRIBUTED
+    # A periodic adversary's writes depend only on the configuration and the
+    # phase, so ``asked`` keeps each pair's checked writes and their sorted
+    # items, and the adversary is asked once per pair in this call.
+    # ``pools`` keeps the sorted enabled processes that the random daemons
+    # draw from, for each configuration entered by a transition made before
+    # (``hit``): a run that revisits no configuration keeps none.
+    asked: dict[tuple, tuple] = {}
+    pools: dict[int, list[int]] = {}
+    hit = False
 
     while now < limit:
         cfg = ex.configs[-1]
         if pending is not None and pending(cfg):
             limit, pending = min(limit, now + stop.extra_after), None
             continue
+        phase = adversary.phase(len(ex.configs))
+        at = None if phase is None else (id(cfg), phase)
         if since and not every and (len(since) > 1 or not lone_forced):
             if forced:
                 forced.clear()
-        elif pending is None:
-            phase = adversary.phase(len(ex.configs))
-            if phase is not None:
-                first = forced.setdefault((id(cfg), phase), now)
-                if first != now:
-                    tail = _Lasso(first, now - first, now)
-                    tail.extend(ex.steps, limit - now)
-                    tail.extend(ex.configs, limit - now)
-                    return
-        writes = advise(adversary, topo, fm, ex.configs)
+        elif pending is None and at is not None:
+            first = forced.setdefault(at, now)
+            if first != now:
+                tail = _Lasso(first, now - first, now)
+                tail.extend(ex.steps, limit - now)
+                tail.extend(ex.configs, limit - now)
+                return
+        known = asked.get(at)
+        if known is None:
+            # Looked up by name at each call: perfbench/tracing.py rebinds it.
+            writes = advise(adversary, topo, fm, ex.configs)
+            known = writes, tuple(sorted(writes.items()))
+            if at is not None:
+                asked[at] = known
+        writes, written = known
         idle = not since and not writes
         if idle and adversary.done(topo, fm, ex.configs):
             break  # nothing can ever happen again
 
         activated: list[int] = []
-        applied: dict[int, ProcState] = writes
+        applied, byz_writes = writes, written
         slot_counts = True  # whether this step is a fairness slot
         # A process of age window - 1 or more is starved: it must act now.
         starved_since = slots - window + 1
@@ -288,40 +309,44 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
             pass  # the adversary is not done but writes nothing this step
         elif every:
             activated = list(since)
-        elif daemon.kind == DISTRIBUTED:
-            if since:
-                # One coin per enabled process in id order, then the
-                # starved ones; a random one if that picks nothing.
-                pool = sorted(since) if len(since) > 1 else list(since)
-                activated = [
-                    v for v in pool if rng.random() < 0.5 or since[v] <= starved_since
-                ]
-                if not activated:
-                    activated = [rng.choice(pool)]
-        else:  # CENTRAL
+        elif daemon.kind == CENTRAL:
             starved = _stamped_by(since, starved_since)
             if writes and not starved and (not last_slot_byz or not since):
-                b = min(writes)
-                applied = {b: writes[b]}
+                byz_writes = written[:1]  # the smallest written process
+                applied = dict(byz_writes)
                 slot_counts = False
                 last_slot_byz = True
             else:
-                applied = {}
+                applied, byz_writes = {}, ()
                 if daemon.fairness == ROUND_ROBIN:
                     # The oldest enabled process, the smallest id among ties.
                     activated = [min(_stamped_by(since, next(iter(since.values()))))]
                 elif starved:
                     activated = [min(starved)]
-                else:
-                    activated = [rng.choice(sorted(since) if len(since) > 1 else list(since))]
                 last_slot_byz = False
+        if since and slot_counts and not activated:
+            # Left to chance: a distributed random step, or a central random
+            # correct slot with none starved.  The distributed daemon tosses
+            # one coin per enabled process in id order and adds the starved
+            # ones; a random one is picked when that picks none, and always
+            # by the central daemon.
+            pool = pools.get(id(cfg))
+            if pool is None:
+                pool = sorted(since)
+                if hit:
+                    pools[id(cfg)] = pool
+            if rng is None:
+                rng = random.Random(seed)
+            if daemon.kind == DISTRIBUTED:
+                activated = [
+                    v for v in pool if rng.random() < 0.5 or since[v] <= starved_since
+                ]
+            activated = activated or [rng.choice(pool)]
 
-        byz_writes = tuple(applied.items())
-        if len(byz_writes) > 1:
-            byz_writes = tuple(sorted(byz_writes))
         key = (id(cfg), tuple(activated), byz_writes)
         transition = transitions.get(key)
-        if transition is None:
+        hit = transition is not None
+        if not hit:
             new_cfg = _successor(topo, cfg, activated, applied)
             new_cfg = interned.setdefault(new_cfg, new_cfg)
             # Only the processes that moved and their neighbors can change
@@ -337,8 +362,11 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
             off: list[int] = []
             for v in touched:
                 (on if is_enabled(topo, new_cfg, v) else off).append(v)
-            rec = StepRecord(activated=frozenset(activated), byz_writes=byz_writes)
-            rec = interned.setdefault(rec, rec)
+            pair = (frozenset(activated), byz_writes)
+            rec = interned.get(pair)
+            if rec is None:
+                rec = StepRecord(*pair)
+                rec = interned[pair] = interned.setdefault(rec, rec)
             transition = transitions[key] = (new_cfg, rec, tuple(on), tuple(off))
         new_cfg, rec, on, off = transition
         ex.steps.append(rec)
@@ -656,7 +684,8 @@ def _parse_trace_lines(lines: list[str]) -> Execution:
     texts, decoded = _Memo(decode), _Memo(successor)
     configs, steps = ex.configs, ex.steps
     # Line i must start "step i ": the texts end before the first that does not.
-    stripped = [intern(line.removeprefix(f"step {i} ")) for i, line in enumerate(body, 1)]
+    prefixes = [f"step {i} " for i in range(1, len(body) + 1)]
+    stripped = list(map(intern, map(str.removeprefix, body, prefixes)))
     wrong = next(compress(count(), map(eq, stripped, body)), len(body))
     del stripped[wrong:]
     # The texts repeat from ``tail.start`` on, and the same texts applied

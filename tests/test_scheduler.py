@@ -894,19 +894,72 @@ def test_a_tail_with_one_enabled_process_is_repeated_without_asking_the_adversar
     assert asked < 50
 
 
-def test_a_choice_between_two_enabled_processes_is_asked_at_every_step():
-    # Processes 2 and 5 each follow their own Byzantine leaf, 3 and 6, and
-    # stay enabled while the daemon activates them; one left out goes quiet
-    # for a step and is enabled again at the next.  So the daemon's coins
-    # pick between two processes all along, and no stretch of forced steps
-    # is long enough to close a cycle.
+def two_leaf_case():
+    # Processes 2 and 5 each follow their own Byzantine leaf, 3 and 6.
     topo = Topology.from_edges(7, 0, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
     fm = make_fault_model(topo, [3, 6])
-    init = tuple(ProcState(None, 0) for _ in range(7))
+    return topo, fm, tuple(ProcState(None, 0) for _ in range(7))
+
+
+def test_a_choice_between_two_enabled_processes_is_asked_once_per_configuration_and_phase():
+    # Processes 2 and 5 stay enabled while the daemon activates them; one
+    # left out goes quiet for a step and is enabled again at the next.  So
+    # the daemon's coins pick between two processes all along, and no
+    # stretch of forced steps is long enough to close a cycle.  The engine
+    # steps all 1,000 steps, yet asks the adversary once per distinct
+    # configuration and phase.
+    topo, fm, init = two_leaf_case()
     ex, asked = counted_run(topo, fm, init, DaemonPolicy(DISTRIBUTED, RANDOM), 1, seed=3)
     sizes = [len(enabled_set(topo, fm, cfg)) for cfg in ex.configs]
     assert sizes.count(2) > 300 and min(sizes[1:]) >= 1
-    assert asked == 1000
+    # Oscillator(1)'s phase at step i + 1, which configs[i] begins, is i % 2.
+    assert asked == len({(cfg, i % 2) for i, cfg in enumerate(ex.configs[:-1])})
+
+
+@pytest.mark.parametrize("daemon", ALL_DAEMONS)
+@settings(max_examples=40, deadline=None)
+@given(case=engine_cases(max_n=8, max_steps=400, adversaries=(Oscillator,)), period=st.integers(1, 4))
+def test_a_periodic_run_equals_its_stepwise_twin(daemon, case, period):
+    # The engine asks a periodic strategy once per configuration and phase
+    # and repeats forced cycles; asked at every step, it makes the same run.
+    topo, fm, init, _, _, max_steps, seed = case
+    stop = StopCriterion(max_steps=max_steps)
+    fast = run(topo, fm, init, daemon, Oscillator(period), stop, seed)
+    slow = run(topo, fm, init, daemon, StepwiseOscillator(period), stop, seed)
+    assert fast.steps == slow.steps and fast.configs == slow.configs
+
+
+class RogueOscillator(Oscillator):
+    """A periodic strategy that also writes to correct process 1."""
+
+    def writes(self, topo, fm, configs):
+        return {**super().writes(topo, fm, configs), 1: ProcState(None, 0)}
+
+
+@pytest.mark.parametrize("daemon", ALL_DAEMONS)
+def test_a_periodic_strategy_is_checked_before_its_writes_are_kept(daemon):
+    # The run before already asked Oscillator(1) at these configurations and
+    # phases; the rogue one is still asked, and refused, at its first step.
+    topo, fm, init = two_leaf_case()
+    ex = run(topo, fm, init, daemon, Oscillator(1), StopCriterion(max_steps=50), seed=3)
+    with pytest.raises(ContractViolation, match="correct process 1"):
+        continue_run(ex, RogueOscillator(1), StopCriterion(max_steps=50), seed=4)
+    assert ex.step_count == 50
+
+
+@pytest.mark.parametrize("daemon", ALL_DAEMONS)
+@pytest.mark.parametrize("first", [100, 101])
+def test_a_continued_run_asks_its_own_adversary(daemon, first):
+    # Oscillator(1) and Oscillator(2) share phases 0 and 1 but write
+    # differently at phase 1, so writes kept from the first call would
+    # change the second.
+    topo, fm, init = two_leaf_case()
+    runs = []
+    for one, two in ((Oscillator(1), Oscillator(2)), (StepwiseOscillator(1), StepwiseOscillator(2))):
+        ex = run(topo, fm, init, daemon, one, StopCriterion(max_steps=first), seed=3)
+        runs.append(continue_run(ex, two, StopCriterion(max_steps=300), seed=4))
+    fast, slow = runs
+    assert fast.steps == slow.steps and fast.configs == slow.configs
 
 
 # ---------------------------------------------------------------------------
