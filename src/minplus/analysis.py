@@ -1,10 +1,10 @@
 """Executable checkers for the protocol's containment guarantees.
 
 Everything here is read-only analysis over immutable configurations and
-traces: the per-process specification predicate, the inductive level floor,
-area legitimacy and stability, containment membership, disruption
-segmentation, activation accounting, trace metrics, and the one verdict
-function, :func:`violations`, that every front end reports from.
+traces, each read through ``scheduler._Index`` as ``trace_text`` reads it:
+the per-process spec predicate, the inductive level floor, area legitimacy
+and stability, containment membership, disruption segmentation, activation
+accounting, trace metrics, and :func:`violations`, the one verdict function.
 
 The central objects are *areas*: sets of correct processes that a Byzantine
 placement may disturb.  Checks are parameterized by an explicit area, so
@@ -18,11 +18,9 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, compress, count, dropwhile, islice, pairwise
-from operator import attrgetter, ge, is_not, ne
+from itertools import chain, compress, count, islice
+from operator import attrgetter, ge, ne
 from pathlib import Path
 
 from .errors import AnalysisError
@@ -42,9 +40,7 @@ from .scheduler import (
     DaemonPolicy,
     Execution,
     StopCriterion,
-    _by_id,
-    _Memo,
-    _tail,
+    _Index,
     continue_run,
     enabled_set,
     step_budget,
@@ -220,97 +216,6 @@ def is_strongly_contained(
     return _contained(
         topo, fm, cfg, (areas or compute_containment_areas(topo, fm)).strictly_near
     )
-
-
-class _Index:
-    """One execution, read once per distinct configuration and transition,
-    and once per period of its repeating tail.
-
-    Configurations are named by identity: the engine and ``parse_trace``
-    intern them, so a run's repeated configurations are one object.  An
-    execution that is not interned is read just as correctly, with fewer
-    repeats.  Per-step sequences are streamed through C-level passes, so no
-    Python loop runs once per step and nothing per step is kept.
-
-    A pass from configuration ``lo`` reads up to ``tail.head(lo)``, one
-    period into the tail that ``_tail`` proves, and folds in the rest from
-    that period, so it costs the prefix plus one or two periods.  The index
-    lives for one call of a public pass, or one ``measure`` or
-    ``violations`` call, which hands it to the passes it makes, since
-    ``ex.configs`` may change between calls.
-    """
-
-    def __init__(self, ex: Execution):
-        self.ex = ex
-        self.configs = configs = ex.configs
-        self.tail = tail = _tail((configs, ex.steps))
-        # Each distinct configuration under its id, in order of first
-        # appearance; none first appears after the head of the tail.
-        self.config = _by_id(configs[: tail.head() + 1])
-        fm = ex.fm
-        self.correct = [v for v in ex.topo.processes() if fm.is_correct(v)]
-        self._watched: dict[tuple[int, ...], _Memo] = {}
-
-    def pairs(self, lo: int = 0, hi: int | None = None):
-        """The (before, after) id pair of each step after configuration
-        ``lo``, up to configuration ``hi``."""
-        return pairwise(map(id, islice(self.configs, lo, None if hi is None else hi + 1)))
-
-    def tally(self, items, lo: int, hi: int) -> Counter:
-        """``Counter(items(lo, hi))``, where ``items(a, b)`` yields something
-        for each step after configuration ``a`` up to ``b``; the steps past
-        ``tail.head(lo)`` are counted as whole periods plus a remainder."""
-        p = self.tail.period
-        if not p:
-            return Counter(items(lo, hi))
-        h = min(hi, self.tail.head(lo))
-        out = Counter(items(lo, h))
-        if hi > h:
-            laps, rest = divmod(hi - h, p)
-            for key, times in Counter(items(h - p, h)).items():
-                out[key] += laps * times
-            out.update(items(h - p, h - p + rest))
-        return out
-
-    def watched(self, watch: list[int]) -> _Memo:
-        """Distinct (before, after) id pair -> the processes of ``watch`` it
-        changes, in the order of ``watch``; one memo per watch set."""
-        key = tuple(watch)
-        memo = self._watched.get(key)
-        if memo is None:
-            config = self.config
-
-            def changed(pair: tuple[int, int]) -> tuple[int, ...]:
-                before, after = config[pair[0]], config[pair[1]]
-                return tuple(v for v in watch if before[v] != after[v])
-
-            memo = self._watched[key] = _Memo(changed)
-        return memo
-
-    def changing_steps(self, watch: list[int], lo: int = 0) -> list[int]:
-        """The steps after configuration ``lo`` that change a process of
-        ``watch``.  Past ``tail.head(lo)`` they are looked for only if the
-        period before it holds one."""
-        moves = self.watched(watch).__getitem__
-        h = self.tail.head(lo)
-        found = list(compress(count(lo + 1), map(moves, self.pairs(lo, h))))
-        if found and found[-1] > h - self.tail.period:
-            found += compress(count(h + 1), map(moves, self.pairs(h)))
-        return found
-
-    def first(self, holds, since: Config | None = None) -> int | None:
-        """The first configuration index whose configuration satisfies
-        ``holds``, asked once per distinct configuration, in order of first
-        appearance from ``since`` (from the start when not given)."""
-        distinct = iter(self.config.values())
-        if since is not None:
-            distinct = dropwhile(partial(is_not, since), distinct)
-        for cfg in distinct:
-            if holds(cfg):
-                # Equal configurations satisfy ``holds`` alike, and each was
-                # asked in order of first appearance.
-                return self.configs.index(cfg)
-        return None
 
 
 def _index(ex) -> _Index:

@@ -49,6 +49,7 @@ from minplus import (
     violations,
 )
 import minplus.analysis
+import minplus.scheduler
 from minplus.scenarios import corrupted_config, random_config
 
 from _oracles import (
@@ -1076,7 +1077,7 @@ def tampered_tails(ex):
     run if it has none) broken three ways: one configuration swapped for an
     equal copy, one for a different configuration, and one record swapped
     for another."""
-    start, period, _ = minplus.analysis._tail((ex.configs, ex.steps))
+    start, period, _ = minplus.scheduler._tail((ex.configs, ex.steps))
     end = len(ex.steps)
     mid = min(start, end) + (end - min(start, end)) // 2
     if not 0 < mid < end:
@@ -1145,7 +1146,7 @@ def test_strong_containment_comes_no_earlier_than_containment(ex):
 class TestRepeatingTails:
     def test_a_written_out_cycle_is_found(self):
         ex = fifty_steps()
-        start, period, _ = minplus.analysis._tail((ex.configs, ex.steps))
+        start, period, _ = minplus.scheduler._tail((ex.configs, ex.steps))
         assert 0 < period and start + 2 * period < len(ex.configs)
         for i in range(start, len(ex.steps) - period):
             assert ex.configs[i + period] is ex.configs[i]
@@ -1165,7 +1166,7 @@ class TestRepeatingTails:
         ex = Execution(
             topo, fm, DaemonPolicy(), 0, "hand-made", configs=configs, steps=[rec] * 7
         )
-        assert minplus.analysis._tail((ex.configs, ex.steps))[:2] == (0, 2)
+        assert minplus.scheduler._tail((ex.configs, ex.steps))[:2] == (0, 2)
         levels = [[state.level for state in cfg] for cfg in configs]
         want = floor_regressions(4, edges, 0, set(), levels)
         assert floor_closure_violations(ex) == want == [(2, 2), (3, 2)]
@@ -1205,7 +1206,7 @@ class TestRepeatingTails:
         bare = Execution(
             ex.topo, ex.fm, ex.daemon, ex.seed, ex.adversary_desc, configs=list(ex.configs)
         )
-        assert minplus.analysis._tail((bare.configs, bare.steps))[:2] == (len(bare.configs), 0)
+        assert minplus.scheduler._tail((bare.configs, bare.steps))[:2] == (len(bare.configs), 0)
         check_distinct_transitions(bare)
         assert change_counts(bare) == change_counts(ex)
         assert containment_violations(bare, 0, frozenset()) == containment_violations(

@@ -3,7 +3,9 @@ import hashlib
 import json
 import random
 import re
-from operator import eq, is_, is_not, ne
+from collections import Counter
+from operator import eq, is_
+from sys import intern
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +31,7 @@ from minplus import (
     Topology,
     WellBehaved,
     build,
+    change_counts,
     compute_containment_areas,
     continue_run,
     enabled_set,
@@ -633,7 +636,7 @@ def engine_cases(draw, max_n=12, max_steps=60, adversaries=None):
                     WellBehaved(),
                     Scripted(script),
                 )
-                if adversaries is None or isinstance(a, adversaries)
+                if adversaries is None or type(a) in adversaries
             ]
         )
     )
@@ -666,8 +669,9 @@ def check_against_the_reference_step(case):
     topo, fm, init, daemon, adversary, max_steps, seed = case
     ex = run(topo, fm, init, daemon, adversary, StopCriterion(max_steps=max_steps), seed=seed)
     assert verify_replay(ex) is None
-    # Equal configurations are one object.
+    # Equal configurations are one object, and so are equal records.
     assert len(set(map(id, ex.configs))) == len(set(ex.configs))
+    assert len(set(map(id, ex.steps))) == len(set(ex.steps))
     # Each distinct transition applies the rule to exactly the activated
     # processes, each of them enabled, and the writes to the written ones.
     transitions = zip(ex.configs, ex.steps, ex.configs[1:])
@@ -982,8 +986,20 @@ def check_round_trip(ex):
     ]
     assert trace_text(back) == text
     assert verify_replay(back) is None
-    # Equal configurations load as one object.
+    # Equal configurations load as one object, and so do equal records.
     assert len(set(map(id, back.configs))) == len(set(back.configs))
+    for made in (ex, back):
+        assert len(set(map(id, made.steps))) == len(set(made.steps))
+    # The codec and the analysis passes share one transition diff and one
+    # tail fold: each correct process's chg= entries are its changes.
+    chg = Counter(
+        int(token.split(":")[0])
+        for line in step_lines(text)
+        for token in line.partition(" chg=")[2].split(",")
+        if token
+    )
+    counts = change_counts(ex)
+    assert counts == {v: chg[v] for v in counts}
     return back
 
 
@@ -1038,8 +1054,8 @@ def step_lines(text):
 
 
 @settings(max_examples=150, deadline=None)
-@given(engine_cases(max_n=8, max_steps=400, adversaries=(Oscillator, Silent, FakeRoot)))
-def test_long_periodic_runs_round_trip(case):
+@given(engine_cases(max_n=8, max_steps=400))
+def test_long_runs_round_trip(case):
     check_round_trip(run_case(case))
 
 
@@ -1153,7 +1169,7 @@ def test_the_tail_is_the_longest_of_the_nearest_lags():
     back = check_round_trip(ex)
     assert minplus.scheduler._tail((back.configs, back.steps))[:2] == (3, 8)
     texts = [line.split(" ", 2)[2] for line in step_lines(text)]
-    assert minplus.scheduler._tail((texts,), ne)[:2] == (3, 8)
+    assert minplus.scheduler._tail((list(map(intern, texts)),))[:2] == (3, 8)
 
 
 # The same edits in the idle run, at step 151: an idle step, so the line
@@ -1187,10 +1203,7 @@ STAR = Topology.from_edges(5, 0, [(0, 1), (0, 2), (0, 3), (0, 4)])
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    # ``Silent`` is ``Adversary`` itself, so the type, not ``isinstance``.
-    engine_cases(max_n=8, max_steps=400).filter(lambda case: type(case[4]) in (Oscillator, Silent))
-)
+@given(engine_cases(max_n=8, max_steps=400, adversaries=(Oscillator, Silent)))
 @example(
     # The step texts repeat at lag 12 from index 3 on; at lag 71 the one
     # pair is indices 1 and 72, a tail that starts earlier but whose head
@@ -1206,14 +1219,15 @@ STAR = Topology.from_edges(5, 0, [(0, 1), (0, 2), (0, 3), (0, 4)])
     )
 )
 def test_the_tail_proof_against_every_lag(case):
-    # Both proofs, of a run's objects and of its trace's step texts: the
-    # tail holds item by item, its head is no later than the nearest lag's,
-    # and it is the longest tail of any lag whenever that lag is among the
-    # eight nearest.
+    # The proof over a run's objects and over its trace's interned step
+    # texts, against lags found by identity and by equality: the tail holds
+    # item by item, its head is no later than the nearest lag's, and it is
+    # the longest tail of any lag whenever that lag is among the eight
+    # nearest.
     ex = run_case(case)
-    texts = [line.split(" ", 2)[2] for line in step_lines(trace_text(ex))]
-    for seqs, differs, same in (((ex.configs, ex.steps), is_not, is_), ((texts,), ne, eq)):
-        tail = minplus.scheduler._tail(seqs, differs)
+    texts = [intern(line.split(" ", 2)[2]) for line in step_lines(trace_text(ex))]
+    for seqs, same in (((ex.configs, ex.steps), is_), ((texts,), eq)):
+        tail = minplus.scheduler._tail(seqs)
         start, period, end = tail
         for seq in seqs:
             assert all(same(seq[i], seq[i + period]) for i in range(start, len(seq) - period))
