@@ -25,7 +25,7 @@ import random
 from pathlib import Path
 
 from .errors import ContractViolation
-from .graph import FaultModel, Topology, canonical_int
+from .graph import FaultModel, Topology, _data_lines, canonical_int
 from .protocol import Config, ProcState, _action, is_enabled, parse_state
 
 
@@ -206,11 +206,7 @@ def parse_script(text: str) -> list[tuple[int, int, ProcState]]:
     """Parse "step id prnt level" lines (prnt = -1 encodes bottom, step >= 1)."""
     items = []
     seen: set[tuple[int, int]] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for raw, parts in _data_lines(text):
         if len(parts) != 4:
             raise ValueError(f"malformed script line: {raw!r}")
         step_idx, proc = map(canonical_int, parts[:2])

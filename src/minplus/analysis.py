@@ -131,35 +131,27 @@ def _legitimate(topo: Topology, fm: FaultModel, cfg: Config, watch: list[int]) -
     return all(spec_holds(topo, fm, cfg, v) for v in watch)
 
 
-def is_area_stable(
-    topo: Topology,
-    fm: FaultModel,
-    cfg: Config,
-    area,
-    budget: int | None = None,
-) -> bool | None:
+def is_area_stable(topo: Topology, fm: FaultModel, cfg: Config, area) -> bool | None:
     """Whether no correct process outside the area can ever change its
     output variables while the Byzantine processes stay silent.
 
     Operational check: no such process may be enabled in cfg, and a
     synchronous run from cfg with the Byzantine processes silent must
-    quiesce within ``budget`` steps (default ``step_budget``) without any of
-    them changing state.  Returns None (indeterminate, distinct from False)
-    if the budget runs out first.
+    quiesce within ``step_budget(topo)`` steps without any of them changing
+    state.  Returns None (undecided, distinct from False) if the budget runs
+    out first, as it can while the area's processes count their levels up.
     """
-    return _stable(topo, fm, cfg, _watch_set(topo, fm, _check_area(topo, fm, area)), budget)
+    return _stable(topo, fm, cfg, _watch_set(topo, fm, _check_area(topo, fm, area)))
 
 
-def _stable(
-    topo: Topology, fm: FaultModel, cfg: Config, watch: list[int], budget: int | None
-) -> bool | None:
+def _stable(topo: Topology, fm: FaultModel, cfg: Config, watch: list[int]) -> bool | None:
     if any(is_enabled(topo, cfg, v) for v in watch):
         return False
 
     def moved(now: Config) -> bool:
         return any(now[v] != cfg[v] for v in watch)
 
-    stop = StopCriterion(step_budget(topo) if budget is None else budget, moved)
+    stop = StopCriterion(step_budget(topo), moved)
     daemon = DaemonPolicy(SYNCHRONOUS, ROUND_ROBIN)
     # From cfg as it is: ``run`` would first reset corrupt parents to bottom.
     ex = Execution(topo, fm, daemon, 0, Silent.name, configs=[cfg])
@@ -234,9 +226,7 @@ class DisruptionSegment:
     changed_processes: frozenset[int]
 
 
-def segment_disruptions(
-    ex: Execution, area, budget: int | None = None, from_index: int = 0
-) -> list[DisruptionSegment]:
+def segment_disruptions(ex: Execution, area, from_index: int = 0) -> list[DisruptionSegment]:
     """Split a trace, from configuration ``from_index`` on, into its
     disruptions for a given area.
 
@@ -246,8 +236,8 @@ def segment_disruptions(
     outside the area.  Changes before the first such boundary, or after the
     last one, belong to no (completed) disruption.  ``from_index`` must lie
     in 0..the last configuration; segment indices, like the ``step_index``
-    of the error raised when a candidate boundary's stability is
-    undecided, count from the start of the whole execution.
+    of the error raised when :func:`is_area_stable` is undecided at a
+    candidate boundary, count from the start of the whole execution.
     """
     idx = _index(ex)
     topo, fm = idx.ex.topo, idx.ex.fm
@@ -255,8 +245,6 @@ def segment_disruptions(
     _check_index("from_index", from_index, idx.tail.end)
     watch = _watch_set(topo, fm, area)
     changes = idx.changing_steps(watch, from_index)
-    if not changes:
-        return []
     configs, watched = idx.configs, idx.watched(watch)
     # Whether a configuration is a boundary, by identity.
     memo: dict[int, bool] = {}
@@ -271,7 +259,7 @@ def segment_disruptions(
             # mean (bottom, 0).  So only the stability run is left to ask.
             ok = False
             if _legitimate(topo, fm, cfg, watch):
-                stable = _stable(topo, fm, cfg, watch, budget)
+                stable = _stable(topo, fm, cfg, watch)
                 if stable is None:
                     raise AnalysisError(
                         "area stability undecided at candidate boundary",

@@ -299,15 +299,20 @@ def canonical_int(text: str) -> int:
     return value
 
 
+def _data_lines(text: str):
+    """Each line of a topology, configuration or script file that is neither
+    blank nor a ``#`` comment, as ``(raw, fields)``."""
+    for raw in text.splitlines():
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            yield raw, fields
+
+
 def parse_topology(text: str) -> tuple[Topology, FaultModel]:
     header = None
     edges: list[tuple[int, int]] = []
     byz: list[int] | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for raw, parts in _data_lines(text):
         if parts[0] == "byz":
             if byz is not None:
                 raise ValueError(f"second byz line: {raw!r}")
@@ -330,7 +335,7 @@ def read_topology(path) -> tuple[Topology, FaultModel]:
 
 
 def write_topology(topo: Topology, fm: FaultModel, path) -> None:
-    Path(path).write_text(topology_text(topo, fm), encoding="utf-8")
+    Path(path).write_text(topology_text(topo, fm), encoding="utf-8", newline="\n")
 
 
 def topology_sha256(topo: Topology, fm: FaultModel = NO_FAULTS) -> str:

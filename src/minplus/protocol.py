@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ContractViolation
-from .graph import FaultModel, Topology, canonical_int
+from .graph import FaultModel, Topology, _data_lines, canonical_int
 
 
 class ProcState(NamedTuple):
@@ -187,11 +187,7 @@ def parse_state(parent: str, level: str) -> ProcState:
 
 def parse_config(text: str, n: int) -> Config:
     states: dict[int, ProcState] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for raw, parts in _data_lines(text):
         if len(parts) != 3:
             raise ValueError(f"malformed configuration line: {raw!r}")
         v = canonical_int(parts[0])

@@ -280,8 +280,7 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
         phase = adversary.phase(len(ex.configs))
         at = None if phase is None else (id(cfg), phase)
         if since and not every and (len(since) > 1 or not lone_forced):
-            if forced:
-                forced.clear()
+            forced.clear()
         elif pending is None and at is not None:
             first = forced.setdefault(at, now)
             if first != now:
@@ -502,8 +501,6 @@ class _Index:
         for each step after configuration ``a`` up to ``b``; the steps past
         ``tail.head(lo)`` are counted as whole periods plus a remainder."""
         p = self.tail.period
-        if not p:
-            return Counter(items(lo, hi))
         h = min(hi, self.tail.head(lo))
         out = Counter(items(lo, h))
         if hi > h:

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,11 @@ BOT = None
 def path_case(n, byz=()):
     topo = Topology.from_edges(n, 0, [(i, i + 1) for i in range(n - 1)])
     return topo, make_fault_model(topo, byz)
+
+
+def budget(steps):
+    """Within the block, every stability check tries ``steps`` steps."""
+    return mock.patch.object(minplus.analysis, "step_budget", lambda topo: steps)
 
 
 def hexagon_two_sided():
@@ -251,9 +257,18 @@ class TestAreaStable:
             ProcState(p, l)
             for p, l in [(BOT, 0), (0, 1), (1, 2), (2, 3), (3, 4), (BOT, 0)]
         )
-        assert is_area_stable(topo, fm, reset, {4}, budget=0) is None
+        with budget(0):
+            assert is_area_stable(topo, fm, reset, {4}) is None
         # With a real budget the frozen continuation reaches process 3.
         assert is_area_stable(topo, fm, reset, {4}) is False
+
+    def test_counting_up_past_the_default_budget_is_undecided(self):
+        # Processes 2 and 3 chase each other's levels up towards the
+        # Byzantine level 10**6, far beyond step_budget's 600 steps, while
+        # the root outside the area never moves.
+        topo, fm = path_case(4, byz=[1])
+        cfg = (ProcState(BOT, 0), ProcState(BOT, 10**6), ProcState(3, 0), ProcState(2, 1))
+        assert is_area_stable(topo, fm, cfg, {2, 3}) is None
 
     def test_negative_budget_is_rejected(self):
         # It used to return None, as if a budget of 0 had run out.
@@ -262,8 +277,8 @@ class TestAreaStable:
             ProcState(p, l)
             for p, l in [(BOT, 0), (0, 1), (1, 2), (2, 3), (3, 4), (BOT, 0)]
         )
-        with pytest.raises(ValueError, match="max_steps"):
-            is_area_stable(topo, fm, reset, {4}, budget=-1)
+        with budget(-1), pytest.raises(ValueError, match="max_steps"):
+            is_area_stable(topo, fm, reset, {4})
 
 
 def stability_case(rng):
@@ -282,9 +297,13 @@ def stability_case(rng):
 
 
 def check_area_stability(case):
-    topo, fm, cfg, area, budget = case
-    got = is_area_stable(topo, fm, cfg, area, budget)
-    rounds = step_budget(topo) if budget is None else budget
+    topo, fm, cfg, area, rounds = case
+    if rounds is None:
+        got = is_area_stable(topo, fm, cfg, area)
+        rounds = step_budget(topo)
+    else:
+        with budget(rounds):
+            got = is_area_stable(topo, fm, cfg, area)
     assert got is area_stable(topo, fm.byzantine, cfg, area, rounds)
     return got
 
@@ -383,13 +402,13 @@ class TestSegments:
 
     def test_indeterminate_boundary_raises(self):
         ex = replay_strong_impossibility(c=1, cycles=1)
-        with pytest.raises(AnalysisError) as info:
-            segment_disruptions(ex, {4}, budget=0)
+        with budget(0), pytest.raises(AnalysisError) as info:
+            segment_disruptions(ex, {4})
         assert info.value.step_index == 3
         # From a later configuration the index still counts from the start
         # of the whole execution.
-        with pytest.raises(AnalysisError) as info:
-            segment_disruptions(ex, {4}, budget=0, from_index=4)
+        with budget(0), pytest.raises(AnalysisError) as info:
+            segment_disruptions(ex, {4}, from_index=4)
         assert info.value.step_index == 9
 
     def test_the_area_is_checked_once_per_call(self, monkeypatch):

@@ -233,7 +233,7 @@ class TestRunCommand:
     def test_export_topology(self, tmp_path):
         out = tmp_path / "hex.topo"
         assert main(["run", "--scenario", "hexagon", "--export-topology", str(out)]) == 0
-        assert out.read_text() == topology_text(*hexagon_topology())
+        assert out.read_bytes() == topology_text(*hexagon_topology()).encode()
 
     def test_more_byzantine_than_non_root_processes_is_malformed(self, capsys):
         assert main(["run", "--scenario", "path n=3 byz_count=3"]) == 2

@@ -6,6 +6,7 @@ random tokens.  Integers stay at most 64, so no input builds a large graph.
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,6 +147,31 @@ def test_configuration_loads_or_is_malformed(case):
 @given(one_token_edit(SCRIPT_TEXTS) | token_lines())
 def test_script_loads_or_is_malformed(text):
     loads_or_is_malformed(parse_script, text)
+
+
+# The three line-based files share one grammar: a parser, a clean text and
+# the noun its malformed-line error names.
+LINE_FILES = [
+    pytest.param(parse_topology, "3 0\n0 1\n1 2\nbyz 2\n", "topology", id="topology"),
+    pytest.param(
+        lambda t: parse_config(t, 3), "0 -1 0\n1 0 1\n2 1 2\n", "configuration", id="config"
+    ),
+    pytest.param(parse_script, "1 2 -1 0\n2 2 1 3\n", "script", id="script"),
+]
+
+
+@pytest.mark.parametrize("parse, text, kind", LINE_FILES)
+def test_comments_and_blank_lines_are_skipped_alike(parse, text, kind):
+    first, *rest = text.splitlines()
+    noisy = "\r\n".join(["  # an indented comment", first, " \t ", "\t#", *rest, ""])
+    assert parse(noisy) == parse(text)
+
+
+@pytest.mark.parametrize("parse, text, kind", LINE_FILES)
+def test_a_trailing_hash_field_is_no_comment(parse, text, kind):
+    first, rest = text.split("\n", 1)
+    with pytest.raises(ValueError, match=f"^malformed {kind} line: '{re.escape(first)} #x'$"):
+        parse(f"{first} #x\n{rest}")
 
 
 @settings(max_examples=300, deadline=None)
