@@ -108,23 +108,20 @@ def level_floor_holds(topo: Topology, fm: FaultModel, cfg: Config, d: int) -> bo
     return d <= _floor_heights(topo, fm, [cfg])[0]
 
 
-def _check_area(topo: Topology, fm: FaultModel, area) -> frozenset[int]:
+def _watch(topo: Topology, fm: FaultModel, area) -> list[int]:
+    # The area-correct processes, correct and outside the area, once the
+    # area's ids are checked.
     area = frozenset(area)
     for v in area:
         topo._check(v)
         if not fm.is_correct(v):
             raise ValueError(f"area contains Byzantine process {v}")
-    return area
-
-
-def _watch_set(topo: Topology, fm: FaultModel, area: frozenset[int]) -> list[int]:
-    # The area-correct processes: correct and outside the area.
     return [v for v in topo.processes() if fm.is_correct(v) and v not in area]
 
 
 def is_area_legitimate(topo: Topology, fm: FaultModel, cfg: Config, area) -> bool:
     """Every correct process outside the area satisfies the spec predicate."""
-    return _legitimate(topo, fm, cfg, _watch_set(topo, fm, _check_area(topo, fm, area)))
+    return _legitimate(topo, fm, cfg, _watch(topo, fm, area))
 
 
 def _legitimate(topo: Topology, fm: FaultModel, cfg: Config, watch: list[int]) -> bool:
@@ -141,7 +138,7 @@ def is_area_stable(topo: Topology, fm: FaultModel, cfg: Config, area) -> bool | 
     state.  Returns None (undecided, distinct from False) if the budget runs
     out first, as it can while the area's processes count their levels up.
     """
-    return _stable(topo, fm, cfg, _watch_set(topo, fm, _check_area(topo, fm, area)))
+    return _stable(topo, fm, cfg, _watch(topo, fm, area))
 
 
 def _stable(topo: Topology, fm: FaultModel, cfg: Config, watch: list[int]) -> bool | None:
@@ -167,7 +164,7 @@ def _basin(topo: Topology, fm: FaultModel, area, anchors: list[int]):
     spec predicate.  ``anchors`` is each process's distance to the nearest
     of the root and the Byzantine set; the floor at the diameter is every
     level at least its anchor, since no anchor exceeds the diameter."""
-    watch = _watch_set(topo, fm, _check_area(topo, fm, area))
+    watch = _watch(topo, fm, area)
     level = attrgetter("level")
 
     def holds(cfg: Config) -> bool:
@@ -241,9 +238,8 @@ def segment_disruptions(ex: Execution, area, from_index: int = 0) -> list[Disrup
     """
     idx = _index(ex)
     topo, fm = idx.ex.topo, idx.ex.fm
-    area = _check_area(topo, fm, area)
+    watch = _watch(topo, fm, area)
     _check_index("from_index", from_index, idx.tail.end)
-    watch = _watch_set(topo, fm, area)
     changes = idx.changing_steps(watch, from_index)
     configs, watched = idx.configs, idx.watched(watch)
     # Whether a configuration is a boundary, by identity.
@@ -308,28 +304,23 @@ def activation_counts(ex: Execution, from_index: int = 0) -> dict[int, int]:
         return chain.from_iterable(map(attrgetter("activated"), islice(steps, lo, hi)))
 
     counts = dict.fromkeys(idx.correct, 0)
-    for v, times in idx.tally(activated, from_index, len(steps)).items():
+    for v, times in idx.tally(activated, from_index).items():
         counts[v] += times
     return counts
 
 
-def change_counts(
-    ex: Execution, from_index: int = 0, to_index: int | None = None
-) -> dict[int, int]:
-    """Per-process output-variable change counts in the steps after
-    configuration ``from_index`` up to ``to_index`` (the last configuration
-    when not given); 0 <= from_index <= to_index <= the last configuration.
+def change_counts(ex: Execution, from_index: int = 0) -> dict[int, int]:
+    """Per-process output-variable change counts over the steps after
+    configuration ``from_index``, which must lie in 0..the last
+    configuration.
 
     An activation that rewrites identical values does not count as a change.
     """
     idx = _index(ex)
-    if to_index is None:
-        to_index = idx.tail.end
-    _check_index("to_index", to_index, idx.tail.end)
-    _check_index("from_index", from_index, to_index)
+    _check_index("from_index", from_index, idx.tail.end)
     counts = dict.fromkeys(idx.correct, 0)
     moved = idx.watched(idx.correct)
-    for pair, times in idx.tally(idx.pairs, from_index, to_index).items():
+    for pair, times in idx.tally(idx.pairs, from_index).items():
         for v in moved[pair]:
             counts[v] += times
     return counts
@@ -375,7 +366,7 @@ def measure(ex: Execution, areas: ContainmentAreas | None = None) -> Stabilizati
         )
     segments = segment_disruptions(idx, areas.strictly_near, from_index=first_strong)
     changes = change_counts(idx, first_strong)
-    settlers = _watch_set(topo, fm, areas.strictly_near)
+    settlers = _watch(topo, fm, areas.strictly_near)
     return StabilizationMetrics(
         first_contained=first_contained,
         first_strongly_contained=first_strong,
@@ -393,7 +384,7 @@ def containment_violations(
     configuration."""
     idx = _index(ex)
     topo, fm = idx.ex.topo, idx.ex.fm
-    watch = _watch_set(topo, fm, _check_area(topo, fm, area))
+    watch = _watch(topo, fm, area)
     _check_index("from_index", from_index, idx.tail.end)
     watched, configs = idx.watched(watch), idx.configs
     return [

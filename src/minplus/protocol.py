@@ -93,8 +93,8 @@ def step(
 
     Every process in ``activated`` must be correct and enabled; it takes the
     result of its rule evaluated against cfg.  Every Byzantine process in
-    ``byz_writes`` takes its written state verbatim (Byzantine behavior
-    flows only through byz_writes).  All other processes are unchanged.
+    ``byz_writes`` takes its written ``(parent, level)`` pair verbatim
+    (Byzantine behavior flows only through byz_writes).  Others are unchanged.
     """
     byz_writes = byz_writes or {}
     acts = frozenset(activated)
@@ -107,21 +107,21 @@ def step(
     for v in acts:
         if not is_enabled(topo, cfg, v):
             raise ContractViolation(f"step: process {v} is not enabled")
-    return _successor(topo, cfg, acts, byz_writes)
+    return _successor(topo, cfg, acts, byz_writes.items())
 
 
 def _successor(topo: Topology, cfg: Config, activated, byz_writes) -> Config:
     # The one place a step is applied: each activated process takes its rule
-    # and each Byzantine write its state, all against cfg.  Only a written
-    # level is checked; ``step`` checks the rest of the contract, and the
-    # engine calls this directly on its own choices.
+    # and each Byzantine write, a (process, (parent, level)) pair as a step
+    # record holds it, its state, all against cfg.  Only a written level is
+    # checked; ``step`` checks the rest, and the engine calls this directly.
     new = list(cfg)
     for v in activated:
         new[v] = _action(topo, cfg, v)
-    for b, state in byz_writes.items():
-        if state.level < 0:
+    for b, (prnt, level) in byz_writes:
+        if level < 0:
             raise ContractViolation(f"negative level written to {b}")
-        new[b] = ProcState(state.prnt, state.level)
+        new[b] = ProcState(prnt, level)
     return tuple(new)
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial, reduce
 from itertools import compress, count, cycle, dropwhile, filterfalse, islice, pairwise
 from itertools import repeat, takewhile
@@ -101,9 +101,6 @@ class DaemonPolicy:
             raise ValueError(f"unknown daemon kind {self.kind!r}")
         if self.fairness not in (ROUND_ROBIN, RANDOM):
             raise ValueError(f"unknown fairness policy {self.fairness!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "fairness": self.fairness}
 
 
 @dataclass(frozen=True)
@@ -263,8 +260,8 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
     forced: dict[tuple, int] = {}
     lone_forced = daemon.kind == DISTRIBUTED
     # A periodic adversary's writes depend only on the configuration and the
-    # phase, so ``asked`` keeps each pair's checked writes and their sorted
-    # items, and the adversary is asked once per pair in this call.
+    # phase, so ``asked`` keeps each pair's checked writes as a step record
+    # holds them, and the adversary is asked once per pair in this call.
     # ``pools`` keeps the sorted enabled processes that the random daemons
     # draw from, for each configuration entered by a transition made before
     # (``hit``): a run that revisits no configuration keeps none.
@@ -286,20 +283,18 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
             if first != now:
                 _Lasso(first, now - first, now).extend(limit - now, ex.steps, ex.configs)
                 return
-        known = asked.get(at)
-        if known is None:
+        written = asked.get(at)
+        if written is None:
             # Looked up by name at each call: perfbench/tracing.py rebinds it.
-            writes = advise(adversary, topo, fm, ex.configs)
-            known = writes, tuple(sorted(writes.items()))
+            written = tuple(sorted(advise(adversary, topo, fm, ex.configs).items()))
             if at is not None:
-                asked[at] = known
-        writes, written = known
-        idle = not since and not writes
+                asked[at] = written
+        idle = not since and not written
         if idle and adversary.done(topo, fm, ex.configs):
             break  # nothing can ever happen again
 
         activated: list[int] = []
-        applied, byz_writes = writes, written
+        byz_writes = written
         slot_counts = True  # whether this step is a fairness slot
         # A process of age window - 1 or more is starved: it must act now.
         starved_since = slots - window + 1
@@ -310,13 +305,12 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
             activated = list(since)
         elif daemon.kind == CENTRAL:
             starved = _stamped_by(since, starved_since)
-            if writes and not starved and (not last_slot_byz or not since):
+            if written and not starved and (not last_slot_byz or not since):
                 byz_writes = written[:1]  # the smallest written process
-                applied = dict(byz_writes)
                 slot_counts = False
                 last_slot_byz = True
             else:
-                applied, byz_writes = {}, ()
+                byz_writes = ()
                 if daemon.fairness == ROUND_ROBIN:
                     # The oldest enabled process, the smallest id among ties.
                     activated = [min(_stamped_by(since, next(iter(since.values()))))]
@@ -346,7 +340,7 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
         transition = transitions.get(key)
         hit = transition is not None
         if not hit:
-            new_cfg = _successor(topo, cfg, activated, applied)
+            new_cfg = _successor(topo, cfg, activated, byz_writes)
             new_cfg = interned.setdefault(new_cfg, new_cfg)
             # Only the processes that moved and their neighbors can change
             # guards; the correct ones among them are re-evaluated in a
@@ -354,7 +348,7 @@ def _drive(ex: Execution, adversary: Adversary, stop: StopCriterion, seed: int) 
             # here, at n <= 4 and at n = 1,000.  ``update`` receives every
             # neighbor tuple before it runs.
             touched = set(activated)
-            touched.update(applied)
+            touched.update([b for b, _ in byz_writes])
             touched.update(*map(neighbors.__getitem__, touched))
             touched -= byzantine
             on: list[int] = []
@@ -477,10 +471,13 @@ class _Index:
     that period, so it costs the prefix plus one or two periods.  The index
     lives for one call of ``trace_text`` or of a public pass, or one
     ``measure`` or ``violations`` call, which hands it to the passes it
-    makes, since ``ex.configs`` may change between calls.
+    makes, since ``ex.configs`` may change between calls.  A step past the
+    last configuration is a ``ValueError``.
     """
 
     def __init__(self, ex: Execution):
+        if len(ex.steps) >= len(ex.configs):
+            raise ValueError(f"step {len(ex.configs)} has no configuration after it")
         self.ex = ex
         self.configs = configs = ex.configs
         self.tail = tail = _tail((configs, ex.steps))
@@ -496,15 +493,15 @@ class _Index:
         ``lo``, up to configuration ``hi``."""
         return pairwise(map(id, islice(self.configs, lo, None if hi is None else hi + 1)))
 
-    def tally(self, items, lo: int, hi: int) -> Counter:
-        """``Counter(items(lo, hi))``, where ``items(a, b)`` yields something
-        for each step after configuration ``a`` up to ``b``; the steps past
-        ``tail.head(lo)`` are counted as whole periods plus a remainder."""
-        p = self.tail.period
-        h = min(hi, self.tail.head(lo))
+    def tally(self, items, lo: int) -> Counter:
+        """``Counter(items(lo, tail.end))``, where ``items(a, b)`` yields
+        something for each step after configuration ``a`` up to ``b``; steps
+        past ``tail.head(lo)`` count as whole periods plus a remainder."""
+        end, p = self.tail.end, self.tail.period
+        h = self.tail.head(lo)
         out = Counter(items(lo, h))
-        if hi > h:
-            laps, rest = divmod(hi - h, p)
+        if end > h:
+            laps, rest = divmod(end - h, p)
             for key, times in Counter(items(h - p, h)).items():
                 out[key] += laps * times
             out.update(items(h - p, h - p + rest))
@@ -598,7 +595,7 @@ def _trace_head(ex: Execution) -> list[str]:
     # The lines before the first step line.
     meta = {
         "adversary": ex.adversary_desc,
-        "daemon": ex.daemon.to_dict(),
+        "daemon": asdict(ex.daemon),
         "seed": ex.seed,
         "steps": len(ex.steps),
         "topology_sha256": topology_sha256(ex.topo, ex.fm),

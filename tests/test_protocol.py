@@ -231,6 +231,14 @@ class TestStep:
         assert out[4] == garbage
         assert out[:4] == cfg[:4]
 
+    def test_a_plain_pair_is_written_as_a_state(self):
+        cfg = cfg_from([(BOT, 0), (0, 1), (1, 2), (2, 3), (3, 4)])
+        out = step(self.topo, self.fm, cfg, set(), {4: (None, 0)})
+        assert type(out[4]) is ProcState
+        assert out == cfg[:4] + (ProcState(BOT, 0),)
+        with pytest.raises(ContractViolation, match="negative level written to 4"):
+            step(self.topo, self.fm, cfg, set(), {4: (3, -1)})
+
     def test_cannot_activate_byzantine(self):
         cfg = cfg_from([(BOT, 0), (0, 1), (1, 2), (2, 3), (3, 9)])
         with pytest.raises(ContractViolation):

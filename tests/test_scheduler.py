@@ -524,6 +524,19 @@ def test_engine_refuses_a_negative_level_write():
         )
 
 
+@pytest.mark.parametrize("daemon", ALL_DAEMONS, ids=lambda d: f"{d.kind}-{d.fairness}")
+def test_a_plain_pair_written_by_an_adversary_is_a_state(daemon):
+    # normalize_config accepts any pair as a state, and so does a write.
+    topo, fm = path_case(4, byz=[3])
+    init = corrupted(topo, fm)[:3] + (ProcState(2, 9),)
+    ex = run(topo, fm, init, daemon, FixedWrites({3: (None, 0)}), StopCriterion(max_steps=30))
+    assert ex.step_count == 30
+    assert type(ex.final()[3]) is ProcState
+    assert ex.final()[3] == ProcState(None, 0)
+    assert verify_replay(ex) is None
+    check_round_trip(ex)
+
+
 def test_negative_step_budget_is_rejected():
     with pytest.raises(ValueError, match="max_steps"):
         StopCriterion(max_steps=-5)
