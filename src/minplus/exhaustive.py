@@ -1,8 +1,8 @@
 """Small-scope certification: every topology, placement, and start state.
 
 Enumerates either every connected graph up to isomorphism with every root
-placement (read from the Graph Atlas data file that networkx ships, which
-covers up to seven nodes), or every labeled connected graph with root 0
+placement (read from the Graph Atlas data file shipped with the package,
+which covers up to seven nodes), or every labeled connected graph with root 0
 (edge-set enumeration, only sensible up to six nodes), then sweeps
 Byzantine placements, a panel of initial configurations and adversaries,
 and reports every containment violation
@@ -14,7 +14,6 @@ quiescent on the distance-exact spanning tree.
 from __future__ import annotations
 
 import gzip
-import importlib.util
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -34,17 +33,20 @@ from .scheduler import (
 )
 
 _ATLAS_MAX = 7
+# The Graph Atlas (Read & Wilson, 1998): networkx's ``atlas.dat.gz``, byte
+# for byte, shipped under its BSD license (``atlas.LICENSE.txt``).
+_ATLAS = Path(__file__).with_name("atlas.dat.gz")
 
 
 def connected_graph_catalog(n_max: int) -> list[tuple[int, list[tuple[int, int]]]]:
     """All connected graphs with 1..n_max nodes, one per isomorphism class,
-    in Graph Atlas order, read from networkx's atlas data file (gzipped
+    in Graph Atlas order, read from the package's atlas data file (gzipped
     ``GRAPH i`` / ``NODES n`` / ``u v`` lines).  The atlas is ordered by
     node count, so reading stops at the first graph with more nodes."""
     if n_max > _ATLAS_MAX:
         raise ValueError(f"catalog covers up to {_ATLAS_MAX} nodes")
     graphs: list[tuple[int, list[tuple[int, int]]]] = []
-    with gzip.open(_atlas_file(), "rb") as f:
+    with gzip.open(_ATLAS, "rb") as f:
         for line in f:
             key, value = line.split()
             if key == b"NODES":
@@ -55,16 +57,6 @@ def connected_graph_catalog(n_max: int) -> list[tuple[int, list[tuple[int, int]]
                 u, v = int(key), int(value)
                 graphs[-1][1].append((min(u, v), max(u, v)))
     return [(n, sorted(edges)) for n, edges in graphs if n and _connected(n, edges)]
-
-
-def _atlas_file() -> Path:
-    # networkx's ``generators/atlas.dat.gz``, located without importing the
-    # package (about 0.15 s): ``find_spec`` of a top-level name imports
-    # nothing.
-    spec = importlib.util.find_spec("networkx")
-    if spec is None:
-        raise ModuleNotFoundError("the graph catalog reads networkx's atlas data file")
-    return Path(spec.submodule_search_locations[0], "generators", "atlas.dat.gz")
 
 
 def _connected(n: int, edges) -> bool:

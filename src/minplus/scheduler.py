@@ -623,8 +623,11 @@ def _state_token(entry: tuple[int, ProcState]) -> str:
 def trace_text(ex: Execution) -> str:
     """The trace of ``ex``.  Each distinct transition is encoded once, and
     past the head of the repeating tail that ``_tail`` proves, each step
-    line is its number plus the text of the line a period before it."""
+    line is its number plus the text of the line a period before it.  A
+    configuration no step reaches is a ``ValueError``: it would be lost."""
     idx = _Index(ex)
+    if len(ex.steps) < len(ex.configs) - 1:
+        raise ValueError(f"configuration {len(ex.steps) + 1} has no step before it")
     changed = idx.watched(range(len(ex.configs[0])))
     token = _Memo(_state_token).__getitem__
     act_text = _Memo(lambda acts: ",".join(map(str, sorted(acts))))

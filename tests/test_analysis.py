@@ -163,6 +163,20 @@ class TestSpecHolds:
         cfg = (ProcState(BOT, 0), ProcState(BOT, 0), ProcState(1, 1), ProcState(2, 2))
         assert not spec_holds(topo, fm, cfg, 3)
 
+    def test_the_parent_must_be_a_neighbour(self):
+        # Process 2 names process 0, one level lower but two hops away; the
+        # chain of process 3 runs through process 2 and breaks there too.
+        topo, fm = path_case(4)
+        cfg = (ProcState(BOT, 0), ProcState(0, 1), ProcState(0, 1), ProcState(2, 2))
+        assert not spec_holds(topo, fm, cfg, 2)
+        assert not spec_holds(topo, fm, cfg, 3)
+        # Here process 3's parent, two hops away, is the only fault: its
+        # level is one lower and the least around process 3, and its own
+        # chain reaches the root.
+        cfg = (ProcState(BOT, 0), ProcState(0, 1), ProcState(1, 1), ProcState(1, 2))
+        assert spec_holds(topo, fm, cfg, 1)
+        assert not spec_holds(topo, fm, cfg, 3)
+
 
 class TestLevelFloor:
     def test_zero_floor_is_vacuous(self):
@@ -549,6 +563,29 @@ class TestIndexBounds:
                 call(ex)
         # The replay check builds no index: it names the first unpaired step.
         assert minplus.scheduler.verify_replay(ex) == 30
+
+    def test_a_configuration_past_the_last_step_is_an_error(self):
+        # Thirty-one configurations but only twenty-nine records: the last
+        # configuration has no step before it.  Its trace would load with
+        # thirty configurations and replay cleanly, so the codec refuses it;
+        # the passes over configurations still read it.
+        topo, fm = path_case(4, byz=[3])
+        ex = run(
+            topo,
+            fm,
+            corrupted_config(topo, fm),
+            DaemonPolicy(),
+            Oscillator(1),
+            StopCriterion(max_steps=30),
+        )
+        ex.steps.pop()
+        assert (len(ex.configs), len(ex.steps)) == (31, 29)
+        assert minplus.scheduler.verify_replay(ex) == 30
+        with pytest.raises(ValueError, match="configuration 30 has no step before it"):
+            trace_text(ex)
+        assert change_counts(ex) == change_tally(
+            ex.configs, [v for v in topo.processes() if fm.is_correct(v)], 0
+        )
 
 
 class TestMeasure:
@@ -1019,6 +1056,13 @@ def _disruptions_or_error(ex, area, lo):
         return str(err)
 
 
+def _trace_or_error(ex):
+    try:
+        return trace_text(ex)
+    except ValueError as err:
+        return err.args
+
+
 def every_pass(ex, areas):
     """The result of every public pass over ``ex``, from the configuration
     indices where they can differ."""
@@ -1027,7 +1071,7 @@ def every_pass(ex, areas):
         "measure": m,
         "floor": floor_closure_violations(ex),
         "violations": violations(ex, m, areas),
-        "trace": trace_text(ex),
+        "trace": _trace_or_error(ex),
     }
     end = len(ex.steps)
     for lo in {0, end // 2, end, m.first_contained or 0, m.first_strongly_contained or 0}:
@@ -1087,9 +1131,10 @@ def check_against_the_references(ex, areas, results):
             area = named_areas(areas)[name]
             want = disruptions(configs[lo:], watch(area), boundary(area))
             assert [(d.start_index - lo, d.end_index - lo, d.changed_processes) for d in got] == want
-    lines = results["trace"].splitlines()
-    records = [(rec.activated, rec.byz_writes) for rec in ex.steps]
-    assert lines[lines.index("init-end") + 1 : -1] == step_lines(configs, records)
+    if isinstance(results["trace"], str):
+        lines = results["trace"].splitlines()
+        records = [(rec.activated, rec.byz_writes) for rec in ex.steps]
+        assert lines[lines.index("init-end") + 1 : -1] == step_lines(configs, records)
 
 
 def check_distinct_transitions(ex, areas=None):
@@ -1238,13 +1283,16 @@ class TestRepeatingTails:
     def test_configurations_without_steps(self):
         # The passes over configurations read every one of them, though no
         # record says how each was reached; a repeat by identity is no
-        # proof of a tail without the records.
+        # proof of a tail without the records.  The codec needs a record
+        # for each step, so it refuses the run.
         ex = fifty_steps()
         bare = Execution(
             ex.topo, ex.fm, ex.daemon, ex.seed, ex.adversary_desc, configs=list(ex.configs)
         )
         assert minplus.scheduler._tail((bare.configs, bare.steps))[:2] == (len(bare.configs), 0)
         check_distinct_transitions(bare)
+        with pytest.raises(ValueError, match="configuration 1 has no step before it"):
+            trace_text(bare)
         assert change_counts(bare) == change_counts(ex)
         assert containment_violations(bare, 0, frozenset()) == containment_violations(
             ex, 0, frozenset()

@@ -75,23 +75,35 @@ def test_catalog_equals_the_networkx_atlas(n_max):
     assert catalog == connected_graph_catalog(7)[: len(catalog)]
 
 
+# networkx 3.6.1's generators/atlas.dat.gz, which the package ships as is.
+ATLAS_SHA256 = "73fc416df0164923607751cb759f4ae81deb5f6550bf25be59c86de3b747e41d"
+
+
+def test_the_shipped_atlas_is_the_networkx_file():
+    atlas = Path(minplus.__file__).with_name("atlas.dat.gz")
+    assert hashlib.sha256(atlas.read_bytes()).hexdigest() == ATLAS_SHA256
+    assert atlas.with_name("atlas.LICENSE.txt").read_text().startswith(
+        "NetworkX is distributed with the 3-clause BSD license."
+    )
+
+
 def test_the_catalog_does_not_import_networkx():
-    # Importing networkx costs more than reading the catalog, so only its
-    # data file is read.  This checks a fresh interpreter, since this one
+    # The package ships its atlas, so the whole catalog reads with networkx
+    # blocked from import.  This checks a fresh interpreter, since this one
     # may have imported networkx already.
     src = str(Path(minplus.__file__).resolve().parents[1])
     code = (
         "import sys\n"
+        "sys.modules['networkx'] = None\n"
         "from minplus.exhaustive import connected_graph_catalog\n"
-        "assert len(connected_graph_catalog(5)) == 31\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+        "print(len(connected_graph_catalog(7)))\n"
     )
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout == "[]\n"
+    assert out.stdout == "996\n"
 
 
 def test_enumerate_cases_sweeps_roots_and_placements():
