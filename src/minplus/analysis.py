@@ -237,7 +237,7 @@ def segment_disruptions(ex: Execution, area, from_index: int = 0) -> list[Disrup
     candidate boundary, count from the start of the whole execution.
     """
     idx = _index(ex)
-    topo, fm = idx.ex.topo, idx.ex.fm
+    topo, fm = idx.topo, idx.fm
     watch = _watch(topo, fm, area)
     _check_index("from_index", from_index, idx.tail.end)
     changes = idx.changing_steps(watch, from_index)
@@ -295,7 +295,7 @@ def activation_counts(ex: Execution, from_index: int = 0) -> dict[int, int]:
     """Per-process activation counts over the steps after configuration
     ``from_index``, which must lie in 0..the last configuration."""
     idx = _index(ex)
-    steps = idx.ex.steps
+    steps = idx.steps
     _check_index("from_index", from_index, idx.tail.end)
 
     def activated(lo: int, hi: int):
@@ -346,7 +346,7 @@ def measure(ex: Execution, areas: ContainmentAreas | None = None) -> Stabilizati
     """Compute stabilization metrics for one execution; ``areas`` are those
     of ``ex``, computed when not given."""
     idx = _index(ex)
-    topo, fm = idx.ex.topo, idx.ex.fm
+    topo, fm = idx.topo, idx.fm
     areas = areas or compute_containment_areas(topo, fm)
     anchors = _nearest(topo, fm.byzantine | {topo.root})
     first_contained = idx.first(_basin(topo, fm, areas.near, anchors))
@@ -383,7 +383,7 @@ def containment_violations(
     state after configuration ``from_index``, which must lie in 0..the last
     configuration."""
     idx = _index(ex)
-    topo, fm = idx.ex.topo, idx.ex.fm
+    topo, fm = idx.topo, idx.fm
     watch = _watch(topo, fm, area)
     _check_index("from_index", from_index, idx.tail.end)
     watched, configs = idx.watched(watch), idx.configs
@@ -410,7 +410,7 @@ def floor_closure_violations(ex: Execution) -> list[tuple[int, int]]:
     pops every pending depth above the period's lowest height."""
     idx = _index(ex)
     distinct = idx.config
-    height = dict(zip(distinct, _floor_heights(idx.ex.topo, idx.ex.fm, list(distinct.values()))))
+    height = dict(zip(distinct, _floor_heights(idx.topo, idx.fm, list(distinct.values()))))
     reach = islice(idx.configs, idx.tail.head(idx.tail.head()) + 1)
     heights = list(map(height.__getitem__, map(id, reach)))
     out = []
@@ -470,8 +470,8 @@ def violations(
     Every pass reads one shared index of ``ex``, handed to it in place of
     the execution."""
     idx = _Index(ex)
-    topo = idx.ex.topo
-    areas = areas or compute_containment_areas(topo, idx.ex.fm)
+    topo = idx.topo
+    areas = areas or compute_containment_areas(topo, idx.fm)
     metrics = metrics or measure(idx, areas)
     out = [Violation("floor", step=i, bound=d) for d, i in floor_closure_violations(idx)]
     if metrics.first_contained is None:

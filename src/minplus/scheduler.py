@@ -34,9 +34,9 @@ adversary again.  Outside such a cycle, a periodic adversary is asked once
 per distinct configuration and phase in each ``run`` or ``continue_run``
 call, and its checked writes are reused; any other is asked at every step.
 
-A stored run is read in one place: ``_tail`` proves its repeating tail, and
-``_Index`` reads it once per distinct transition and period, for
-``trace_text`` and the analysis passes alike.
+A stored run is read in one place: ``_tail`` proves its repeating tail, once
+while the run's lists are unchanged, and ``_Index`` reads it once per distinct
+transition and period, for ``trace_text`` and the analysis passes alike.
 """
 
 from __future__ import annotations
@@ -158,9 +158,14 @@ class Execution:
     # Each configuration and record the engine or ``parse_trace`` made for
     # this execution, interned by value as its one shared object, and the
     # engine's transitions from those objects (see ``_drive``); both last
-    # across ``continue_run`` calls.
+    # across ``continue_run`` calls.  ``_proof`` is the proof ``_Index`` shares.
     _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _transitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _proof: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # A copy or a pickle holds new objects: it drops the tables keyed by ids.
+        return {**vars(self), "_transitions": {}, "_proof": ()}
 
     @property
     def step_count(self) -> int:
@@ -468,23 +473,28 @@ class _Index:
 
     A pass from configuration ``lo`` reads up to ``tail.head(lo)``, one
     period into the tail that ``_tail`` proves, and folds in the rest from
-    that period, so it costs the prefix plus one or two periods.  The index
-    lives for one call of ``trace_text`` or of a public pass, or one
+    that period, so it costs the prefix plus one or two periods.  An index
+    is built for one call of ``trace_text`` or of a public pass, or one
     ``measure`` or ``violations`` call, which hands it to the passes it
-    makes, since ``ex.configs`` may change between calls.  A step past the
-    last configuration is a ``ValueError``.
+    makes.  It reads copies of ``ex.configs`` and ``ex.steps`` and their
+    proof, kept on ``ex`` and reused while the copies equal the live lists
+    (identity first, in C): equal items give equal results, so no result
+    comes from a stale proof.  A step past the last configuration is a
+    ``ValueError``.
     """
 
     def __init__(self, ex: Execution):
         if len(ex.steps) >= len(ex.configs):
             raise ValueError(f"step {len(ex.configs)} has no configuration after it")
-        self.ex = ex
-        self.configs = configs = ex.configs
-        self.tail = tail = _tail((configs, ex.steps))
-        # Each distinct configuration under its id, in order of first
-        # appearance; none first appears after the head of the tail.
-        distinct = configs[: tail.head() + 1]
-        self.config = dict(zip(map(id, distinct), distinct))
+        if ex._proof[:2] != (ex.configs, ex.steps):
+            configs, steps = list(ex.configs), list(ex.steps)
+            tail = _tail((configs, steps))
+            # Each distinct configuration under its id, in order of first
+            # appearance; none first appears after the head of the tail.
+            distinct = configs[: tail.head() + 1]
+            ex._proof = configs, steps, tail, dict(zip(map(id, distinct), distinct))
+        self.configs, self.steps, self.tail, self.config = ex._proof
+        self.topo, self.fm = ex.topo, ex.fm
         self.correct = list(filterfalse(ex.fm.byzantine.__contains__, ex.topo.processes()))
         self._watched: dict[tuple[int, ...], _Memo] = {}
 
@@ -642,7 +652,7 @@ def trace_text(ex: Execution) -> str:
 
     # Keyed by each step's (before, after) id pair and its record.
     texts = _Memo(step_text)
-    written = list(map(texts.__getitem__, zip(idx.pairs(0, idx.tail.head()), ex.steps)))
+    written = list(map(texts.__getitem__, zip(idx.pairs(0, idx.tail.head()), idx.steps)))
     idx.tail.extend(len(ex.steps) - len(written), written)
     lines = _trace_head(ex)
     lines += [f"step {i} {text}" for i, text in zip(count(1), written)]

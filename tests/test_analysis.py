@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from unittest import mock
 
@@ -20,9 +22,11 @@ from minplus import (
     Violation,
     activation_counts,
     anchor_distance,
+    build,
     change_counts,
     compute_containment_areas,
     containment_violations,
+    continue_run,
     enabled_set,
     floor_closure_violations,
     hexagon_topology,
@@ -37,6 +41,7 @@ from minplus import (
     measure,
     metrics_csv,
     metrics_row,
+    parse_scenario,
     radius_area,
     replay_strong_impossibility,
     replay_ta_strong_impossibility,
@@ -47,6 +52,7 @@ from minplus import (
     step_budget,
     to_dot,
     trace_text,
+    verify_replay,
     violations,
 )
 import minplus.analysis
@@ -1315,6 +1321,129 @@ def test_replays_hold_each_distinct_configuration_once():
         found = segment_disruptions(ex, area)
         assert len(found) >= 200
         assert segment_disruptions(deinterned(ex), area) == found
+
+
+# ---------------------------------------------------------------------------
+# Each index reads the proof of the run's tail that the first index of an
+# execution kept on it, while the execution's lists are unchanged.
+# ---------------------------------------------------------------------------
+
+
+def every_reader(ex, areas):
+    """Each reader's result over ``ex``, or its error's type and text."""
+    mid = len(ex.steps) // 2
+    calls = {
+        "measure": lambda: measure(ex, areas),
+        "violations": lambda: violations(ex, areas=areas),
+        "moves": lambda: containment_violations(ex, mid, areas.near),
+        "floor": lambda: floor_closure_violations(ex),
+        "acts": lambda: activation_counts(ex, mid),
+        "changes": lambda: change_counts(ex),
+        "disruptions": lambda: segment_disruptions(ex, areas.strictly_near),
+        "trace": lambda: trace_text(ex),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except (ValueError, AnalysisError) as err:
+            out[name] = type(err).__name__, str(err)
+    return out
+
+
+def test_one_tail_proof_per_unchanged_execution(monkeypatch):
+    topo, fm = build(parse_scenario("path n=5 byz=4"))
+    daemon = DaemonPolicy("central", "round_robin")
+    ex = run(topo, fm, corrupted_config(topo, fm), daemon, Oscillator(4), StopCriterion(2000))
+    assert minplus.scheduler._tail((ex.configs, ex.steps)).period > 0
+    areas = compute_containment_areas(topo, fm)
+    proofs = []
+    tail = minplus.scheduler._tail
+
+    def counting(seqs):
+        proofs.append(len(seqs[0]))
+        return tail(seqs)
+
+    monkeypatch.setattr(minplus.scheduler, "_tail", counting)
+    every_reader(ex, areas)
+    assert proofs == [2001]
+    continue_run(ex, Oscillator(4), StopCriterion(100))
+    every_reader(ex, areas)
+    assert proofs == [2001, 2101]
+
+
+def test_a_copied_or_pickled_execution_reads_alike():
+    # The kept proof's table is keyed by ids, which a copy or a pickle of
+    # the execution does not keep.
+    topo, fm = build(parse_scenario("hexagon"))
+    ex = run(topo, fm, corrupted_config(topo, fm), DaemonPolicy(), Oscillator(1), StopCriterion(500))
+    areas = compute_containment_areas(topo, fm)
+    first = every_reader(ex, areas)
+    for copied in (copy.copy(ex), copy.deepcopy(ex), pickle.loads(pickle.dumps(ex))):
+        assert every_reader(copied, areas) == first
+
+
+def _reread_runs():
+    for text, adversary in [
+        ("path n=5 byz=4", Oscillator(4)),
+        ("hexagon", Oscillator(1)),
+        ("random n=7 p=0.4 seed=2 byz_count=2", Oscillator(2)),
+    ]:
+        for daemon in DAEMONS:
+            yield pytest.param(text, adversary, daemon, id=f"{text}-{daemon.kind}-{daemon.fairness}")
+
+
+def _edit_in_place(ex, change, adversary):
+    """Apply ``change`` to ``ex``'s lists; return the step a tampered
+    record was put at, if any."""
+    mid = len(ex.steps) // 2
+    cfg, rec = ex.configs[mid], ex.steps[mid]
+    if change == "continue":
+        continue_run(ex, adversary, StopCriterion(max_steps=50), seed=1)
+    elif change == "pop both":
+        ex.steps.pop()
+        ex.configs.pop()
+    elif change == "pop configuration":
+        ex.configs.pop()
+    elif change == "other configuration":
+        last = cfg[-1]
+        ex.configs[mid] = cfg[:-1] + (ProcState(last.prnt, last.level + 1),)
+    elif change == "equal configuration":
+        ex.configs[mid] = tuple(list(cfg))
+    elif change == "tampered record":
+        ex.steps[mid] = StepRecord(rec.activated ^ {ex.topo.root}, rec.byz_writes)
+        return mid + 1
+    elif change == "rebound configurations":
+        ex.configs = list(ex.configs)
+    return None
+
+
+CHANGES = [
+    "continue",
+    "pop both",
+    "pop configuration",
+    "other configuration",
+    "equal configuration",
+    "tampered record",
+    "rebound configurations",
+]
+
+
+@pytest.mark.parametrize("change", CHANGES)
+@pytest.mark.parametrize("text,adversary,daemon", list(_reread_runs()))
+def test_the_shared_proof_follows_every_change_to_the_lists(text, adversary, daemon, change):
+    topo, fm = build(parse_scenario(text))
+    areas = compute_containment_areas(topo, fm)
+    init = corrupted_config(topo, fm)
+    ex = run(topo, fm, init, daemon, adversary, StopCriterion(max_steps=300), seed=3)
+    every_reader(ex, areas)
+    tampered = _edit_in_place(ex, change, adversary)
+    fresh = Execution(
+        topo, fm, daemon, ex.seed, ex.adversary_desc, list(ex.configs), list(ex.steps)
+    )
+    assert every_reader(ex, areas) == every_reader(fresh, areas)
+    if tampered is not None:
+        assert verify_replay(ex) == tampered
 
 
 class TestExports:

@@ -1,6 +1,8 @@
+import copy
 import gc
 import hashlib
 import json
+import pickle
 import random
 import re
 from collections import Counter
@@ -581,6 +583,32 @@ def test_continue_run_keeps_one_intern_table_per_execution():
     assert copied.configs == plain.configs
     assert verify_replay(plain) is None and verify_replay(copied) is None
     assert len(set(map(id, plain.configs))) == len(set(plain.configs))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_copied_or_pickled_run_continues_as_the_original(seed):
+    # A copy or a pickle of an execution holds new objects, so the ids that
+    # key its transition table must not come with it: with the original
+    # freed, an old id could come to name another configuration.
+    topo, fm = build(parse_scenario(f"random n=7 p=0.4 seed={seed} byz_count=2"))
+    stop = StopCriterion(max_steps=300)
+
+    def made():
+        return run(topo, fm, corrupted(topo, fm), DaemonPolicy(), Oscillator(1), stop, seed=seed)
+
+    def own_keys(ex):
+        interned = set(map(id, ex._interned.values()))
+        return all(key[0] in interned for key in ex._transitions)
+
+    want = continue_run(made(), Oscillator(1), stop, seed)
+    for copier in (copy.copy, copy.deepcopy, lambda ex: pickle.loads(pickle.dumps(ex))):
+        back = copier(made())
+        gc.collect()
+        assert own_keys(back)
+        continue_run(back, Oscillator(1), stop, seed)
+        assert own_keys(back)
+        assert back.configs == want.configs and back.steps == want.steps
+        assert verify_replay(back) is None
 
 
 @pytest.mark.parametrize("daemon", ALL_DAEMONS, ids=lambda d: f"{d.kind}-{d.fairness}")
